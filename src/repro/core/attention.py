@@ -51,25 +51,125 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ExecutionPlan, OpsBackend, get_backend
-
-# The reference scoring kernel now lives with the numpy backend; the names
-# stay importable (and ``_TILE_BYTES`` patchable) here because this module
-# hosted them historically and the canonical tile grid is an attention-level
-# concept — construction reads this module's ``_TILE_BYTES`` global.
-from repro.backend.numpy_backend import _TILE_BYTES, _batched_pair_scores, _tile_rows
 from repro.nn import Linear, init
 from repro.nn.module import Module, Parameter
 from repro.sparse import alpha_entmax
 from repro.tensor import Tensor, concat
 from repro.utils.seed import spawn_rng
 
-__all__ = [
-    "SparseSpatialMultiHeadAttention",
-    "_TILE_BYTES",
-    "_batched_pair_scores",
-    "_tile_rows",
-]
+# Scratch-buffer budget of the tiled scoring kernel: tiles are sized so one
+# (P, tile, M, h) hidden-activation block stays around this many bytes,
+# keeping the add/bias/relu/matmul chain in cache instead of streaming a
+# (P, N, M, h) tensor through main memory several times.  The constant also
+# defines the *canonical tile grid*: BLAS reductions are not bit-stable
+# across call shapes, so the chunked and unchunked paths stay byte-identical
+# only because both issue the exact same per-tile kernel calls — node blocks
+# are always rounded up to multiples of this grid, and the grid itself never
+# depends on the chunking knobs.
+_TILE_BYTES = 4 * 1024 * 1024
+
+
+def _tile_rows(heads: int, num_significant: int, hidden: int, itemsize: int,
+               tile_bytes: int = _TILE_BYTES) -> int:
+    """Rows per canonical scoring tile (one (P, tile, M, h) scratch block)."""
+    return max(1, int(tile_bytes // max(1, heads * num_significant * hidden * itemsize)))
+
+
+def _batched_pair_scores(
+    embeddings: Tensor,
+    neighbour_embeddings: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    tile_bytes: int = _TILE_BYTES,
+) -> Tensor:
+    """Raw pair scores ``(P, N, M, out)`` of all ``P`` scoring FFNs at once.
+
+    Computes ``relu(E W1_node + E_I W1_neigh + b1) W2 + b2`` for every
+    (node, neighbour) pair without materialising either the ``(N, M, 2d)``
+    pair tensor or the full ``(P, N, M, h)`` hidden activation: the node axis
+    is processed in cache-sized tiles, and the backward pass recomputes each
+    tile's activations rather than keeping them alive in the graph.  The
+    first-layer node projection is evaluated per tile as well, so every BLAS
+    call has the same shape no matter how many rows the caller passes — the
+    property the node-tiled scoring mode's bit-identity rests on.
+    """
+    num_nodes, dim = embeddings.shape
+    num_significant = neighbour_embeddings.shape[0]
+    heads, _, hidden = w1.shape
+    out = w2.shape[-1]
+
+    e = embeddings.data
+    e_i = neighbour_embeddings.data
+    w1_node, w1_neigh = w1.data[:, :dim, :], w1.data[:, dim:, :]
+    dtype = np.result_type(e.dtype, w1.data.dtype)
+
+    neigh_part = np.matmul(e_i, w1_neigh) + b1.data[:, None, :]  # (P, M, h)
+
+    tile = min(num_nodes, _tile_rows(heads, num_significant, hidden, dtype.itemsize,
+                                     tile_bytes))
+
+    def _tiles(buffer, consume):
+        """Recompute relu(node + neigh) tile-by-tile and hand each to ``consume``."""
+        for start in range(0, num_nodes, tile):
+            stop = min(start + tile, num_nodes)
+            node_part = np.matmul(e[start:stop], w1_node)  # (P, tile, h)
+            pre = buffer[:, : stop - start]
+            np.add(node_part[:, :, None, :], neigh_part[:, None, :, :], out=pre)
+            np.maximum(pre, 0.0, out=pre)
+            consume(start, stop, pre)
+
+    raw = np.empty((heads, num_nodes, num_significant, out), dtype=dtype)
+    scratch = np.empty((heads, tile, num_significant, hidden), dtype=dtype)
+
+    def _forward_tile(start, stop, pre):
+        rows = (stop - start) * num_significant
+        np.matmul(
+            pre.reshape(heads, rows, hidden),
+            w2.data,
+            out=raw[:, start:stop].reshape(heads, rows, out),
+        )
+
+    _tiles(scratch, _forward_tile)
+    raw += b2.data[:, None, None, :]
+
+    def backward(grad):
+        grad = np.ascontiguousarray(grad, dtype=dtype)
+        grad_w2 = np.zeros_like(w2.data)
+        grad_node = np.empty((heads, num_nodes, hidden), dtype=dtype)
+        grad_neigh_pre = np.zeros_like(neigh_part)
+        buffer = np.empty((heads, tile, num_significant, hidden), dtype=dtype)
+        w2_t = np.ascontiguousarray(np.swapaxes(w2.data, -1, -2))
+
+        def _backward_tile(start, stop, pre):
+            nonlocal grad_w2, grad_neigh_pre
+            rows = (stop - start) * num_significant
+            grad_tile = grad[:, start:stop].reshape(heads, rows, out)
+            grad_w2 += np.matmul(
+                np.swapaxes(pre.reshape(heads, rows, hidden), -1, -2), grad_tile
+            )
+            grad_pre = np.matmul(grad_tile, w2_t).reshape(
+                heads, stop - start, num_significant, hidden
+            )
+            grad_pre *= pre > 0.0  # relu mask from the recomputed activations
+            grad_node[:, start:stop] = grad_pre.sum(axis=2)
+            grad_neigh_pre += grad_pre.sum(axis=1)
+
+        _tiles(buffer, _backward_tile)
+
+        grad_e = np.matmul(grad_node, np.swapaxes(w1_node, -1, -2)).sum(axis=0)
+        grad_e_i = np.matmul(grad_neigh_pre, np.swapaxes(w1_neigh, -1, -2)).sum(axis=0)
+        grad_w1 = np.concatenate(
+            [np.matmul(e.T, grad_node), np.matmul(e_i.T, grad_neigh_pre)], axis=1
+        )
+        grad_b1 = grad_neigh_pre.sum(axis=1)
+        grad_b2 = grad.sum(axis=(1, 2))
+        return grad_e, grad_e_i, grad_w1, grad_b1, grad_w2, grad_b2
+
+    return Tensor._make(
+        raw, (embeddings, neighbour_embeddings, w1, b1, w2, b2), backward
+    )
 
 
 class SparseSpatialMultiHeadAttention(Module):
@@ -91,18 +191,10 @@ class SparseSpatialMultiHeadAttention(Module):
         ``E E_Iᵀ`` (the "w/o Attention" ablation).
     chunk_size:
         Node-block size of the tiled scoring mode (``None`` = single pass
-        with cache-heuristic scratch tiles).  Stored on the execution plan.
+        with cache-heuristic scratch tiles).
     memory_budget_mb:
         Scratch budget (MiB) the node block is derived from when
-        ``chunk_size`` is not given.  Stored on the execution plan.
-    backend:
-        Execution backend (name, instance, or ``None`` for the
-        ``REPRO_BACKEND``/default resolution) the scoring kernel runs on.
-    plan:
-        A shared :class:`~repro.backend.ExecutionPlan`; mutually exclusive
-        with the ``chunk_size``/``memory_budget_mb`` kwargs (the model
-        passes one plan to every module so host-side overrides are a single
-        mutation).
+        ``chunk_size`` is not given.
     """
 
     _HEAD_OUT = 2  # each scoring FFN emits 2 channels per (node, neighbour) pair
@@ -118,25 +210,18 @@ class SparseSpatialMultiHeadAttention(Module):
         seed: int | None = 0,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        backend: str | OpsBackend | None = None,
-        plan: ExecutionPlan | None = None,
     ):
         super().__init__()
         if num_heads < 1:
             raise ValueError("num_heads must be >= 1")
         if normalizer not in {"entmax", "softmax"}:
             raise ValueError("normalizer must be 'entmax' or 'softmax'")
-        self.backend = get_backend(backend)
-        if plan is None:
-            # make_plan validates the chunking knobs (>= 1 / positive).
-            plan = self.backend.make_plan(
-                chunk_size=chunk_size, memory_budget_mb=memory_budget_mb
-            )
-        elif chunk_size is not None or memory_budget_mb is not None:
-            raise ValueError(
-                "pass chunking knobs through the ExecutionPlan when one is provided"
-            )
-        self.plan = plan
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1 (or None)")
+        if memory_budget_mb is not None and memory_budget_mb <= 0:
+            raise ValueError("memory_budget_mb must be positive (or None)")
+        self.chunk_size = chunk_size
+        self.memory_budget_mb = memory_budget_mb
         base = 0 if seed is None else seed
         self.embedding_dim = embedding_dim
         self.num_heads = num_heads
@@ -170,25 +255,6 @@ class SparseSpatialMultiHeadAttention(Module):
         self.head_w2 = Parameter(w2, name="head_w2")  # (P, h, 2)
         self.head_b2 = Parameter(init.zeros((num_heads, out)), name="head_b2")
         self.mixer = Linear(out * num_heads, 1, seed=base + 997)
-
-    # ------------------------------------------------------------------ #
-    # Plan-backed knobs (legacy attribute surface)
-    # ------------------------------------------------------------------ #
-    @property
-    def chunk_size(self) -> int | None:
-        return self.plan.chunk_size
-
-    @chunk_size.setter
-    def chunk_size(self, value: int | None) -> None:
-        self.plan.chunk_size = value
-
-    @property
-    def memory_budget_mb(self) -> float | None:
-        return self.plan.memory_budget_mb
-
-    @memory_budget_mb.setter
-    def memory_budget_mb(self, value: float | None) -> None:
-        self.plan.memory_budget_mb = value
 
     # ------------------------------------------------------------------ #
     # Checkpoint migration
@@ -278,10 +344,8 @@ class SparseSpatialMultiHeadAttention(Module):
         num_rows = node_embeddings.shape[0]
         num_significant = neighbour_embeddings.shape[0]
         heads, out = self.num_heads, self._HEAD_OUT
-        # Eq. 1–2: all P scoring FFNs in one tiled, batched kernel — the
-        # backend owns this hot path (the numpy backend is the bit-exact
-        # reference tiling).
-        raw = self.backend.pair_scores(
+        # Eq. 1–2: all P scoring FFNs in one tiled, batched kernel.
+        raw = _batched_pair_scores(
             node_embeddings,
             neighbour_embeddings,
             self.head_w1,

@@ -75,15 +75,6 @@ class SAGDFNConfig:
         Alternative to ``chunk_size``: a per-forward scratch budget in MiB
         from which each module derives its own node-block size.  Ignored
         when ``chunk_size`` is set explicitly.
-    backend:
-        Name of the execution backend owning the hot kernels (attention
-        pair scoring, diffusion aggregation, fused GRU gates).  ``None``
-        defers to the ``REPRO_BACKEND`` environment variable and falls back
-        to ``"numpy"`` (the bit-exact reference).  ``"numba"`` selects the
-        jitted backend when numba is installed.  Resolution — and the
-        unknown-name :class:`ValueError` — happens when the model is
-        constructed, so a config can be built on one host and served on
-        another.
     quantiles:
         Probabilistic-forecasting head: when set (e.g. ``(0.1, 0.5, 0.9)``),
         the decoder projects every step to one column per quantile and the
@@ -135,7 +126,6 @@ class SAGDFNConfig:
     use_predefined_graph: bool = False
     chunk_size: int | None = None
     memory_budget_mb: float | None = None
-    backend: str | None = None
     quantiles: tuple[float, ...] | None = None
     exog_dim: int = 0
     mask_input: bool = False

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ExecutionPlan, OpsBackend, get_backend
-from repro.core.gconv import OneStepFastGConvCell, _resolve_plan, as_index_array
+from repro.core.gconv import OneStepFastGConvCell, as_index_array
 from repro.nn.module import Module
 from repro.tensor import Tensor, stack
 from repro.utils.seed import spawn_rng
@@ -46,15 +45,8 @@ class SAGDFNEncoderDecoder(Module):
         Probability of feeding the ground truth instead of the prediction to
         the decoder during training (scheduled-sampling style curriculum).
     node_chunk_size:
-        Deprecated: node-block size forwarded to every cell's graph
-        convolutions.  Prefer ``plan`` (or ``SAGDFNConfig.chunk_size``);
-        ``None`` keeps the unchunked aggregation.
-    backend:
-        Execution backend (name, instance, or ``None`` for the
-        ``REPRO_BACKEND``/default resolution) shared by every cell.
-    plan:
-        A shared :class:`~repro.backend.ExecutionPlan` carrying the
-        chunking knobs; one plan instance serves the whole model.
+        Node-block size forwarded to every cell's graph convolutions
+        (``None`` keeps the unchunked aggregation).
     exog_dim:
         Declared exogenous covariate channels appended after the
         ``input_dim`` endogenous ones.  They widen the first encoder layer
@@ -85,17 +77,12 @@ class SAGDFNEncoderDecoder(Module):
         exog_dim: int = 0,
         mask_input: bool = False,
         quantiles: tuple[float, ...] | None = None,
-        backend: str | OpsBackend | None = None,
-        plan: ExecutionPlan | None = None,
     ):
         super().__init__()
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if exog_dim < 0:
             raise ValueError("exog_dim must be >= 0")
-        self.backend = get_backend(backend)
-        self.plan = _resolve_plan(self.backend, plan, node_chunk_size,
-                                  "SAGDFNEncoderDecoder")
         base = 0 if seed is None else seed
         self.input_dim = input_dim
         self.exog_dim = exog_dim
@@ -116,8 +103,7 @@ class SAGDFNEncoderDecoder(Module):
                 output_dim,
                 diffusion_steps,
                 seed=base + layer,
-                backend=self.backend,
-                plan=self.plan,
+                node_chunk_size=node_chunk_size,
             )
             for layer in range(num_layers)
         ]
@@ -128,20 +114,10 @@ class SAGDFNEncoderDecoder(Module):
                 self.prediction_dim,
                 diffusion_steps,
                 seed=base + 100 + layer,
-                backend=self.backend,
-                plan=self.plan,
+                node_chunk_size=node_chunk_size,
             )
             for layer in range(num_layers)
         ]
-
-    @property
-    def node_chunk_size(self) -> int | None:
-        """Node-block size of every cell's aggregation (plan-backed)."""
-        return self.plan.node_chunk_size
-
-    @node_chunk_size.setter
-    def node_chunk_size(self, value: int | None) -> None:
-        self.plan.node_chunk_size = value
 
     @property
     def num_quantiles(self) -> int:

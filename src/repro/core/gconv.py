@@ -30,46 +30,12 @@ perf baseline.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from repro.backend import ExecutionPlan, OpsBackend, get_backend
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, concat
 from repro.utils.seed import spawn_rng
-
-
-def _resolve_plan(
-    backend: OpsBackend,
-    plan: ExecutionPlan | None,
-    node_chunk_size: int | None,
-    owner: str,
-) -> ExecutionPlan:
-    """Shared backend/plan resolution of the graph-convolution modules.
-
-    ``node_chunk_size`` is the deprecated per-module kwarg: accepted (and
-    folded into a fresh plan) when no plan is given, rejected alongside an
-    explicit plan, and nudged towards the plan-based spelling.
-    """
-    if plan is not None:
-        if node_chunk_size is not None:
-            raise ValueError(
-                "pass node_chunk_size through the ExecutionPlan when one is provided"
-            )
-        return plan
-    if node_chunk_size is not None:
-        warnings.warn(
-            f"{owner}(node_chunk_size=...) is deprecated; the knob now lives "
-            "on the ExecutionPlan — set SAGDFNConfig.chunk_size or pass "
-            "plan=backend.make_plan(node_chunk_size=...) instead; see "
-            "README.md#execution-backends",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    # make_plan validates node_chunk_size (>= 1 or None).
-    return backend.make_plan(node_chunk_size=node_chunk_size)
 
 
 def as_index_array(index_set: np.ndarray | None) -> np.ndarray | None:
@@ -95,14 +61,13 @@ class FastGraphConv(Module):
     """
 
     def __init__(self, input_dim: int, output_dim: int, diffusion_steps: int = 2,
-                 seed: int | None = 0, node_chunk_size: int | None = None,
-                 backend: str | OpsBackend | None = None,
-                 plan: ExecutionPlan | None = None):
+                 seed: int | None = 0, node_chunk_size: int | None = None):
         super().__init__()
         if diffusion_steps < 1:
             raise ValueError("diffusion_steps must be >= 1")
-        self.backend = get_backend(backend)
-        self.plan = _resolve_plan(self.backend, plan, node_chunk_size, "FastGraphConv")
+        if node_chunk_size is not None and node_chunk_size < 1:
+            raise ValueError("node_chunk_size must be >= 1 (or None)")
+        self.node_chunk_size = node_chunk_size
         rng = spawn_rng(seed)
         self.input_dim = input_dim
         self.output_dim = output_dim
@@ -112,15 +77,6 @@ class FastGraphConv(Module):
             for j in range(diffusion_steps)
         ]
         self.bias = Parameter(np.zeros(output_dim), name="bias")
-
-    @property
-    def node_chunk_size(self) -> int | None:
-        """Node-block size of the per-hop aggregation (plan-backed)."""
-        return self.plan.node_chunk_size
-
-    @node_chunk_size.setter
-    def node_chunk_size(self, value: int | None) -> None:
-        self.plan.node_chunk_size = value
 
     # ------------------------------------------------------------------ #
     # Diffusion states (weight-independent part of the convolution)
@@ -163,18 +119,15 @@ class FastGraphConv(Module):
             if chunk is not None and chunk < num_nodes:
                 current = concat(
                     [
-                        self.backend.diffusion_hop(
-                            adjacency[start : start + chunk],
-                            gathered,
-                            current[..., start : start + chunk, :],
-                            scale[start : start + chunk],
-                        )
+                        (adjacency[start : start + chunk].matmul(gathered)
+                         + current[..., start : start + chunk, :])
+                        * scale[start : start + chunk]
                         for start in range(0, num_nodes, chunk)
                     ],
                     axis=-2,
                 )
             else:
-                current = self.backend.diffusion_hop(adjacency, gathered, current, scale)
+                current = (adjacency.matmul(gathered) + current) * scale
             states.append(current)
         return states
 
@@ -249,20 +202,15 @@ class OneStepFastGConvCell(Module):
         diffusion_steps: int = 2,
         seed: int | None = 0,
         node_chunk_size: int | None = None,
-        backend: str | OpsBackend | None = None,
-        plan: ExecutionPlan | None = None,
     ):
         super().__init__()
         base = 0 if seed is None else seed
         combined = input_dim + hidden_dim
-        self.backend = get_backend(backend)
-        self.plan = _resolve_plan(self.backend, plan, node_chunk_size,
-                                  "OneStepFastGConvCell")
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim
         self.gates = FastGraphConv(combined, 2 * hidden_dim, diffusion_steps, seed=base,
-                                   backend=self.backend, plan=self.plan)
+                                   node_chunk_size=node_chunk_size)
         # Re-draw the fused gate weights from the legacy per-gate streams
         # (reset from seed ``base``, update from ``base + 1``) so a freshly
         # constructed cell is bit-identical to the historical layout.
@@ -278,7 +226,7 @@ class OneStepFastGConvCell(Module):
             )
             hop.data = fused.astype(hop.data.dtype, copy=False)
         self.candidate = FastGraphConv(combined, hidden_dim, diffusion_steps, seed=base + 2,
-                                       backend=self.backend, plan=self.plan)
+                                       node_chunk_size=node_chunk_size)
         rng = spawn_rng(base + 3)
         self.projection = Parameter(
             init.xavier_uniform((hidden_dim, output_dim), rng), name="projection"
@@ -380,7 +328,7 @@ class OneStepFastGConvCell(Module):
             [state for pair in zip(x_states, h_states) for state in pair], axis=-1
         )
         gate_pre = stacked.matmul(prepared["gates"]) + self.gates.bias
-        gates = self.backend.fused_gru_gates(gate_pre)
+        gates = gate_pre.sigmoid()
         reset = gates[..., : self.hidden_dim]
         update = gates[..., self.hidden_dim :]
         rh_states = self.candidate.diffusion_states(
@@ -390,7 +338,7 @@ class OneStepFastGConvCell(Module):
             [state for pair in zip(x_states, rh_states) for state in pair], axis=-1
         )
         cand_pre = stacked.matmul(prepared["candidate"]) + self.candidate.bias
-        new_hidden = self.backend.fused_gru_update(update, hidden, cand_pre)
+        new_hidden = update * hidden + (1.0 - update) * cand_pre.tanh()
         prediction = new_hidden.matmul(self.projection) if need_prediction else None
         return new_hidden, prediction
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import OpsBackend, get_backend
 from repro.core.attention import SparseSpatialMultiHeadAttention
 from repro.core.config import SAGDFNConfig
 from repro.core.encoder_decoder import SAGDFNEncoderDecoder
@@ -39,19 +38,6 @@ class SAGDFN(Module):
         self.config = config
         rng = spawn_rng(config.seed)
 
-        # One backend + one ExecutionPlan, resolved here and shared by every
-        # module: the chunked SNS ranking and node-tiled attention read
-        # chunk_size / memory_budget_mb from it, the graph convolutions read
-        # node_chunk_size, and serving reads use_kernel.  Mutating a plan
-        # field (e.g. a serving host overriding the chunk size) is seen by
-        # all of them at once.
-        self.backend = get_backend(config.backend)
-        self.plan = self.backend.make_plan(
-            chunk_size=config.chunk_size,
-            node_chunk_size=config.chunk_size,
-            memory_budget_mb=config.memory_budget_mb,
-        )
-
         # Node embedding matrix E (N, d), learned end-to-end.
         self.node_embeddings = Parameter(
             rng.normal(0.0, 1.0 / np.sqrt(config.embedding_dim),
@@ -64,7 +50,8 @@ class SAGDFN(Module):
             num_significant=config.num_significant,
             top_k=config.top_k,
             seed=config.seed,
-            plan=self.plan,
+            chunk_size=config.chunk_size,
+            memory_budget_mb=config.memory_budget_mb,
         )
         self.attention = SparseSpatialMultiHeadAttention(
             embedding_dim=config.embedding_dim,
@@ -74,8 +61,8 @@ class SAGDFN(Module):
             normalizer=config.normalizer,
             use_pairwise_attention=config.use_pairwise_attention,
             seed=config.seed,
-            backend=self.backend,
-            plan=self.plan,
+            chunk_size=config.chunk_size,
+            memory_budget_mb=config.memory_budget_mb,
         )
         self.forecaster = SAGDFNEncoderDecoder(
             input_dim=config.input_dim,
@@ -89,8 +76,7 @@ class SAGDFN(Module):
             exog_dim=config.exog_dim,
             mask_input=config.mask_input,
             quantiles=config.quantiles,
-            backend=self.backend,
-            plan=self.plan,
+            node_chunk_size=config.chunk_size,
         )
 
         # "w/o SNS & SSMA" ablation: a fixed, distance-derived dense support.
@@ -107,26 +93,6 @@ class SAGDFN(Module):
 
         self._index_set: np.ndarray | None = None
         self._iteration = 0
-
-    # ------------------------------------------------------------------ #
-    # Backend switching
-    # ------------------------------------------------------------------ #
-    def set_backend(self, backend: str | OpsBackend | None) -> OpsBackend:
-        """Re-point every module at ``backend`` (name, instance or default).
-
-        The shared :class:`~repro.backend.ExecutionPlan` is kept — only its
-        recorded backend name and the modules' op dispatch change — so all
-        chunking knobs survive the switch.  Used by
-        :class:`~repro.serve.service.ForecastService` when a serving host
-        overrides the backend the model was built with.
-        """
-        resolved = get_backend(backend)
-        self.backend = resolved
-        self.plan.backend = resolved.name
-        for _, module in self.named_modules():
-            if hasattr(module, "backend"):
-                module.backend = resolved
-        return resolved
 
     # ------------------------------------------------------------------ #
     # Graph refresh (Algorithm 2, lines 5–7)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ExecutionPlan
 from repro.utils.seed import spawn_rng
 
 # Bytes per candidate slot of the blocked distance ranking: the float64
@@ -57,9 +56,6 @@ class SignificantNeighborsSampling:
     memory_budget_mb:
         Scratch budget (MiB) the ranking block size is derived from when
         ``chunk_size`` is not given.
-    plan:
-        A shared :class:`~repro.backend.ExecutionPlan` carrying the two
-        chunking knobs above; mutually exclusive with passing them directly.
     """
 
     def __init__(
@@ -70,17 +66,17 @@ class SignificantNeighborsSampling:
         seed: int | None = 0,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        plan: ExecutionPlan | None = None,
     ):
         if num_significant > num_nodes:
             raise ValueError("num_significant cannot exceed num_nodes")
         if not 0 < top_k <= num_significant:
             raise ValueError("top_k must satisfy 0 < top_k <= num_significant")
-        if plan is None:
-            plan = ExecutionPlan(chunk_size=chunk_size, memory_budget_mb=memory_budget_mb)
-        elif chunk_size is not None or memory_budget_mb is not None:
-            raise ValueError("pass chunking knobs through the ExecutionPlan when one is provided")
-        self.plan = plan
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1 (or None)")
+        if memory_budget_mb is not None and memory_budget_mb <= 0:
+            raise ValueError("memory_budget_mb must be positive (or None)")
+        self.chunk_size = chunk_size
+        self.memory_budget_mb = memory_budget_mb
         self.num_nodes = num_nodes
         self.num_significant = num_significant
         self.top_k = top_k
@@ -88,24 +84,6 @@ class SignificantNeighborsSampling:
         self._rng = spawn_rng(seed)
         self.candidates = self._build_candidates()
         self._last_index_set: np.ndarray | None = None
-
-    @property
-    def chunk_size(self) -> int | None:
-        """Node-block size of the distance ranking (plan-backed)."""
-        return self.plan.chunk_size
-
-    @chunk_size.setter
-    def chunk_size(self, value: int | None) -> None:
-        self.plan.chunk_size = value
-
-    @property
-    def memory_budget_mb(self) -> float | None:
-        """Scratch budget the ranking block is derived from (plan-backed)."""
-        return self.plan.memory_budget_mb
-
-    @memory_budget_mb.setter
-    def memory_budget_mb(self, value: float | None) -> None:
-        self.plan.memory_budget_mb = value
 
     def _build_candidates(self) -> np.ndarray:
         """Randomly construct the candidate matrix ``C``.

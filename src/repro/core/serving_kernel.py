@@ -40,8 +40,6 @@ import threading
 
 import numpy as np
 
-from repro.backend import OpsBackend, get_backend
-
 # Workspaces are keyed by batch size; retain at most this many before
 # evicting the least recently used (long-lived services see ragged batch
 # sizes from micro-batching and loader tails — memory must not climb with
@@ -57,6 +55,67 @@ def _stack_with_bias(hop_blocks: list[np.ndarray], bias: np.ndarray) -> np.ndarr
     bias.
     """
     return np.ascontiguousarray(np.concatenate(hop_blocks + [bias[None, :]], axis=0))
+
+
+def _diffusion_aggregate_(adjacency, gathered, previous, scale, out,
+                          gemm_out=None) -> None:
+    """One raw in-place diffusion hop over node-major ndarray states.
+
+    ``out = (adjacency @ gathered + previous) * scale`` where ``gathered`` is
+    ``(M, B, C)`` (or ``(T, M, B, C)`` for the batched whole-history
+    precompute) and ``previous`` / ``out`` are matching ``(…, N, B, C)``
+    arrays.  The matmul folds batch and channels into one gemm-column axis.
+    When ``out`` is a strided view (the hop blocks of an x-stack),
+    ``gemm_out`` supplies a contiguous scratch the gemm lands in first.
+    """
+    rows = adjacency.shape[0]
+    cols = gathered.shape[-2] * gathered.shape[-1]
+    if gathered.ndim == 4:
+        # Whole-sequence precompute: one batched gemm over (T, M, B·C).
+        steps = gathered.shape[0]
+        np.matmul(
+            adjacency,
+            gathered.reshape(steps, -1, cols),
+            out=out.reshape(steps, rows, cols),
+        )
+        out += previous
+        out *= scale
+        return
+    target = out if gemm_out is None else gemm_out
+    np.matmul(adjacency, gathered.reshape(-1, cols), out=target.reshape(rows, cols))
+    if gemm_out is None:
+        out += previous
+    else:
+        np.add(gemm_out, previous, out=out)
+    out *= scale
+
+
+def _fused_gru_gates_(gates: np.ndarray) -> None:
+    """In-place sigmoid over the ``(N, B, 2·hidden)`` fused gates."""
+    # In-place 1 / (1 + exp(-max(x, -60))).  The reference
+    # ``Tensor.sigmoid`` clips to [-60, 60]; the lower bound is what
+    # prevents ``exp`` overflow, and dropping the upper bound changes
+    # saturated gates by less than 1e-26 — far below the serving
+    # kernel's 1e-10 equivalence envelope.
+    np.maximum(gates, -60.0, out=gates)
+    np.negative(gates, out=gates)
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.reciprocal(gates, out=gates)
+
+
+def _fused_gru_update_(hidden: np.ndarray, update: np.ndarray,
+                       candidate: np.ndarray, scratch: np.ndarray) -> None:
+    """In-place blend ``hidden = u·hidden + (1-u)·tanh(candidate)``.
+
+    ``candidate`` holds the pre-activation on entry and is clobbered;
+    ``scratch`` is a same-shaped scratch buffer.
+    """
+    np.tanh(candidate, out=candidate)
+    np.subtract(1.0, update, out=scratch)
+    scratch *= candidate
+    hidden *= update
+    hidden += scratch
 
 
 class _CellWeights:
@@ -101,7 +160,6 @@ class _Workspace:
         hops = kernel.hops
         dtype = kernel.dtype
         m = kernel.adjacency.shape[-1]
-        empty = kernel.backend.empty
         # Input widths diffused inside the step loop: every decoder layer,
         # and encoder layers above the first (their inputs are the hidden
         # states of the layer below).  The first encoder layer's input
@@ -116,35 +174,35 @@ class _Workspace:
         self.x_scratch = {}
         self.x_dense_gather = {}
         for width in x_widths:
-            stack = empty((n, batch, hops * width + 1), dtype)
+            stack = np.empty((n, batch, hops * width + 1), dtype)
             stack[..., -1] = 1.0
             self.x_stacks[width] = stack
-            self.x_scratch[width] = empty((n, batch, width), dtype)
+            self.x_scratch[width] = np.empty((n, batch, width), dtype)
             if kernel.index_set is None:
                 # Dense supports gather the full strided hop block; give the
                 # contiguous copy its own buffer (x_scratch holds the gemm
                 # output of the same iteration).
-                self.x_dense_gather[width] = empty((n, batch, width), dtype)
+                self.x_dense_gather[width] = np.empty((n, batch, width), dtype)
         gather_widths = sorted(set(x_widths) | {h}) if kernel.index_set is not None else []
         self.gather = {
-            width: empty((m, batch, width), dtype) for width in gather_widths
+            width: np.empty((m, batch, width), dtype) for width in gather_widths
         }
         # One hidden-state stack per layer; the layer's hidden state lives
         # permanently in ``h_states[layer][0]`` (the hop-0 diffusion state),
         # shared by the encoder and decoder phases.
         self.h_states = [
-            empty((hops, n, batch, h), dtype) for _ in kernel.encoder
+            np.empty((hops, n, batch, h), dtype) for _ in kernel.encoder
         ]
-        self.r_states = empty((hops, n, batch, h), dtype)
-        self.gates = empty((n, batch, 2 * h), dtype)
-        self.scratch_2h = empty((n, batch, 2 * h), dtype)
-        self.scratch_h = empty((n, batch, h), dtype)
-        self.update = empty((n, batch, h), dtype)
-        self.candidate = empty((n, batch, h), dtype)
-        self.decoder_input = empty((n, batch, kernel.output_dim), dtype)
+        self.r_states = np.empty((hops, n, batch, h), dtype)
+        self.gates = np.empty((n, batch, 2 * h), dtype)
+        self.scratch_2h = np.empty((n, batch, 2 * h), dtype)
+        self.scratch_h = np.empty((n, batch, h), dtype)
+        self.update = np.empty((n, batch, h), dtype)
+        self.candidate = np.empty((n, batch, h), dtype)
+        self.decoder_input = np.empty((n, batch, kernel.output_dim), dtype)
         # Full-width predictions: one column per quantile head for
         # probabilistic forecasters (prediction_dim == output_dim otherwise).
-        self.predictions = empty(
+        self.predictions = np.empty(
             (kernel.horizon, n, batch, kernel.prediction_dim), dtype
         )
 
@@ -163,10 +221,6 @@ class FrozenRecurrenceKernel:
         Frozen significant-neighbour indices, ``None`` for dense supports.
     degree_scale:
         The ``(N, 1)`` degree normalisation ``(D + I)^{-1}``.
-    backend:
-        Execution backend (name, instance, or ``None`` for the
-        ``REPRO_BACKEND``/default resolution) the in-place aggregation and
-        gate kernels — and workspace allocation — dispatch through.
     """
 
     def __init__(
@@ -175,9 +229,7 @@ class FrozenRecurrenceKernel:
         adjacency: np.ndarray,
         index_set: np.ndarray | None,
         degree_scale: np.ndarray,
-        backend: str | OpsBackend | None = None,
     ) -> None:
-        self.backend = get_backend(backend)
         self.horizon = forecaster.horizon
         self.output_dim = forecaster.output_dim
         self.hidden_dim = forecaster.hidden_dim
@@ -243,7 +295,7 @@ class FrozenRecurrenceKernel:
             else:
                 gathered = ws.gather[states.shape[-1]]
                 np.take(previous, self.index_set, axis=0, out=gathered)
-            self.backend.diffusion_aggregate_(
+            _diffusion_aggregate_(
                 self.adjacency, gathered, previous, self.degree_scale, current
             )
 
@@ -267,7 +319,7 @@ class FrozenRecurrenceKernel:
             else:
                 gathered = ws.gather[width]
                 np.take(previous, self.index_set, axis=0, out=gathered)
-            self.backend.diffusion_aggregate_(
+            _diffusion_aggregate_(
                 self.adjacency, gathered, previous, self.degree_scale, current,
                 gemm_out=target,
             )
@@ -287,7 +339,7 @@ class FrozenRecurrenceKernel:
                 gathered = previous
             else:
                 gathered = np.take(previous, self.index_set, axis=1)
-            self.backend.diffusion_aggregate_(
+            _diffusion_aggregate_(
                 self.adjacency, gathered, previous, self.degree_scale, current
             )
 
@@ -343,7 +395,7 @@ class FrozenRecurrenceKernel:
             np.matmul(layer_x.reshape(rows, -1), cell.gate_x,
                       out=scratch_2h.reshape(rows, 2 * hidden_dim))
             gates += scratch_2h
-            self.backend.fused_gru_gates_(gates)
+            _fused_gru_gates_(gates)
             reset = gates[..., :hidden_dim]
             # ``update`` is read three times below; one contiguous copy is
             # cheaper than three strided traversals of the gates view.
@@ -358,8 +410,7 @@ class FrozenRecurrenceKernel:
             np.matmul(layer_x.reshape(rows, -1), cell.cand_x,
                       out=scratch_h.reshape(rows, hidden_dim))
             candidate += scratch_h
-            # hidden = update * hidden + (1 - update) * tanh(candidate)
-            self.backend.fused_gru_update_(hidden, update, candidate, scratch_h)
+            _fused_gru_update_(hidden, update, candidate, scratch_h)
             current = hidden
         if prediction_out is not None:
             rows = self.num_nodes * current.shape[1]
@@ -380,14 +431,10 @@ class FrozenRecurrenceKernel:
         dominates the workspace even for large batches.
         """
         steps, n, batch, channels = history.shape
-        states = self.backend.empty(
-            (self.hops, steps, n, batch, channels), self.dtype
-        )
+        states = np.empty((self.hops, steps, n, batch, channels), self.dtype)
         states[0] = history
         self._diffuse_batched(states)
-        stacks = self.backend.empty(
-            (steps, n, batch, self.hops * channels + 1), self.dtype
-        )
+        stacks = np.empty((steps, n, batch, self.hops * channels + 1), self.dtype)
         for j in range(self.hops):
             stacks[..., j * channels : (j + 1) * channels] = states[j]
         stacks[..., -1] = 1.0

@@ -69,10 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--memory-budget-mb", type=float, default=None,
                         help="large-N memory knob: derive the node blocks from this "
                              "scratch budget (MiB) instead of --chunk-size")
-    parser.add_argument("--backend", type=str, default=None,
-                        help="execution backend override (e.g. numpy, numba); the "
-                             "default honours the bundle's recorded backend, then "
-                             "REPRO_BACKEND, then numpy")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed of the synthetic request generator")
 
@@ -222,7 +218,6 @@ def _serve_cluster(args) -> int:
         max_wait_ms=args.max_wait_ms,
         chunk_size=args.chunk_size,
         memory_budget_mb=args.memory_budget_mb,
-        backend=args.backend,
         max_pending=args.max_pending,
     ) as cluster:
         load_ms = (time.perf_counter() - load_start) * 1000.0
@@ -347,12 +342,10 @@ def _serve_online(args) -> int:
             drift=drift,
             update_scaler=args.update_scaler,
             **(
-                {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms,
-                 "backend": args.backend}
+                {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms}
                 if args.workers > 1
                 else {"chunk_size": args.chunk_size,
-                      "memory_budget_mb": args.memory_budget_mb,
-                      "backend": args.backend}
+                      "memory_budget_mb": args.memory_budget_mb}
             ),
         )
     except (RuntimeError, ValueError) as error:
@@ -425,14 +418,10 @@ def main(argv=None) -> int:
         freeze_graph=not args.no_freeze,
         chunk_size=args.chunk_size,
         memory_budget_mb=args.memory_budget_mb,
-        backend=args.backend,
     )
     load_ms = (time.perf_counter() - load_start) * 1000.0
     mode = "frozen-graph" if service.frozen is not None else "full-forward"
-    print(
-        f"loaded {args.checkpoint} in {load_ms:.1f} ms "
-        f"({mode} mode, {service.backend_name} backend)"
-    )
+    print(f"loaded {args.checkpoint} in {load_ms:.1f} ms ({mode} mode)")
 
     windows = _load_windows(args, service.config)
     serve_start = time.perf_counter()

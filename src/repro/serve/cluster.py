@@ -584,6 +584,10 @@ class _WorkerChannel:
                     if kind == "hb":
                         self.last_heartbeat = message[1]
                         continue
+                    if kind in ("ok", "err"):
+                        # A reply proves liveness: a busy worker never idles
+                        # long enough to send a heartbeat.
+                        self.last_heartbeat = time.monotonic()
                     if kind == "ok":
                         _, r_seq, r_slot, r_batch, checksum = message
                         if r_seq != seq:
@@ -669,6 +673,8 @@ class _WorkerChannel:
                     if kind == "hb":
                         self.last_heartbeat = message[1]
                         continue
+                    if kind in ("swapped", "err"):
+                        self.last_heartbeat = time.monotonic()
                     if kind == "swapped":
                         _, r_seq, generation = message
                         if r_seq != seq:
@@ -776,7 +782,7 @@ class ServingCluster:
         BLAS thread cap exported to every worker before it imports numpy
         (default 1 — replicas must not fight over cores).  ``None`` leaves
         the host's BLAS configuration untouched.
-    backend / chunk_size / memory_budget_mb:
+    chunk_size / memory_budget_mb:
         Forwarded to every worker's
         :meth:`ForecastService.from_checkpoint`.
     mp_context:
@@ -830,7 +836,6 @@ class ServingCluster:
         heartbeat_interval_s: float = 1.0,
         start_timeout_s: float = 120.0,
         blas_threads: int | None = 1,
-        backend: str | None = None,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
         mp_context: str = "spawn",
@@ -894,7 +899,6 @@ class ServingCluster:
         self.fault_plan = fault_plan
 
         service_kwargs = {
-            "backend": backend,
             "chunk_size": chunk_size,
             "memory_budget_mb": memory_budget_mb,
             # The parent verified the bundle digest just above; workers

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend import BackendUnavailableError, OpsBackend, get_backend
 from repro.data.scalers import StandardScaler
 from repro.nn.module import Module
 from repro.tensor import Tensor, no_grad
@@ -107,27 +105,15 @@ class ForecastService:
         freeze, the override mutates the passed model **in place** — the
         service takes ownership; do not keep training (or build
         differently-tuned services) over the same instance.
-    backend:
-        Execution backend override for this serving host: a registry name
-        (``"numpy"``, ``"numba"``, …) or an
-        :class:`~repro.backend.OpsBackend` instance.  ``None`` keeps the
-        backend the model resolved at construction (its config, the
-        ``REPRO_BACKEND`` environment variable, or the ``numpy`` default).
-        Unknown names raise :class:`ValueError`; known-but-uninstalled ones
-        raise :class:`~repro.backend.BackendUnavailableError`.
     use_kernel:
-        Deprecated alias for the ``use_kernel`` field of the model's
-        :class:`~repro.backend.ExecutionPlan`.  When the graph is frozen
-        and the model exposes a
+        When the graph is frozen and the model exposes a
         :class:`~repro.core.encoder_decoder.SAGDFNEncoderDecoder`
-        forecaster, ``plan.use_kernel`` (default ``True``) routes requests
-        through the no-grad
-        :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` — a
-        raw-ndarray fused recurrence with a preallocated workspace that
-        matches the module forward to ≤ 1e-10 relative (float64).  Set the
-        plan field (or this kwarg) to ``False`` to serve through the
-        autograd module forward instead, which is bit-identical to the
-        ``Trainer.evaluate`` path.
+        forecaster, ``True`` (the default) routes requests through the
+        no-grad :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` —
+        a raw-ndarray fused recurrence with a preallocated workspace that
+        matches the module forward to ≤ 1e-10 relative (float64).  ``False``
+        serves through the autograd module forward instead, which is
+        bit-identical to the ``Trainer.evaluate`` path.
     """
 
     def __init__(
@@ -138,31 +124,13 @@ class ForecastService:
         config: dict | None = None,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        use_kernel: bool | None = None,
-        backend: str | OpsBackend | None = None,
+        use_kernel: bool = True,
     ):
         self.model = model
         self.scaler = scaler
-        self.backend = self._resolve_backend(model, backend)
-        self.plan = getattr(model, "plan", None) or self.backend.make_plan()
-        if use_kernel is not None:
-            warnings.warn(
-                "ForecastService(use_kernel=...) is deprecated; the switch "
-                "now lives on the model's ExecutionPlan — set "
-                "ExecutionPlan.use_kernel (model.plan.use_kernel, or "
-                "backend.make_plan(use_kernel=...)) instead; see "
-                "README.md#execution-backends",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.plan.use_kernel = bool(use_kernel)
+        self.use_kernel = bool(use_kernel)
         self._apply_memory_knobs(model, chunk_size, memory_budget_mb)
         self.config = config if config is not None else self._config_dict(model)
-        if self.config:
-            # Record the backend actually serving (bundle configs may carry
-            # a different, overridden or unavailable, name).
-            self.config = dict(self.config)
-            self.config["backend"] = self.backend.name
         # Scenario fields (absent in pre-scenario configs → point/dense).
         quantiles = self.config.get("quantiles") if self.config else None
         self.quantiles = None if quantiles is None else tuple(float(q) for q in quantiles)
@@ -212,7 +180,7 @@ class ForecastService:
         adjacency = Tensor(frozen.adjacency, dtype=self._dtype)
         degree_scale = Tensor(frozen.degree_scale, dtype=self._dtype)
         kernel = None
-        if self.plan.use_kernel and hasattr(self.model.forecaster, "encoder_cells"):
+        if self.use_kernel and hasattr(self.model.forecaster, "encoder_cells"):
             from repro.core.serving_kernel import FrozenRecurrenceKernel
 
             kernel = FrozenRecurrenceKernel(
@@ -220,7 +188,6 @@ class ForecastService:
                 frozen.adjacency,
                 frozen.index_set,
                 frozen.degree_scale,
-                backend=self.backend,
             )
             for batch in sorted(self._pinned_batches):
                 kernel.pin_workspace(batch)
@@ -290,11 +257,6 @@ class ForecastService:
             return self._state.generation
 
     @property
-    def backend_name(self) -> str:
-        """Registry name of the backend serving this model."""
-        return self.backend.name
-
-    @property
     def expected_channels(self) -> int | None:
         """Total per-window channel width :meth:`predict` expects.
 
@@ -327,25 +289,6 @@ class ForecastService:
     # Construction helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _resolve_backend(
-        model: Module, backend: str | OpsBackend | None
-    ) -> OpsBackend:
-        """One resolver for every path: override > model's backend > default.
-
-        An explicit ``backend`` re-points the whole model at it (via
-        ``model.set_backend`` when available) so the module forward, the
-        serving kernel and the recorded config all agree.
-        """
-        if backend is not None:
-            if hasattr(model, "set_backend"):
-                return model.set_backend(backend)
-            return get_backend(backend)
-        model_backend = getattr(model, "backend", None)
-        if model_backend is not None:
-            return model_backend
-        return get_backend(None)
-
-    @staticmethod
     def _apply_memory_knobs(
         model: Module, chunk_size: int | None, memory_budget_mb: float | None
     ) -> None:
@@ -358,8 +301,13 @@ class ForecastService:
         :class:`~repro.core.gconv.FastGraphConv` of the forecaster, so the
         per-request encoder-decoder hot path is blocked too (a budget alone
         cannot size the gconv blocks — their per-row cost depends on the
-        request batch size).
+        request batch size).  Invalid values are rejected before any module
+        is touched, with the modules' own messages.
         """
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1 (or None)")
+        if memory_budget_mb is not None and memory_budget_mb <= 0:
+            raise ValueError("memory_budget_mb must be positive (or None)")
         if chunk_size is None and memory_budget_mb is None:
             return
         for target in (getattr(model, "sampler", None), getattr(model, "attention", None)):
@@ -399,8 +347,7 @@ class ForecastService:
         freeze_graph: bool = True,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        use_kernel: bool | None = None,
-        backend: str | None = None,
+        use_kernel: bool = True,
         verify_digest: bool = True,
     ) -> "ForecastService":
         """Rehydrate a service from a serving bundle written by ``save_bundle``.
@@ -408,33 +355,13 @@ class ForecastService:
         The bundle alone is enough: model config, parameters, scaler
         statistics and the SNS sampler state all come out of the archive.
         ``chunk_size`` / ``memory_budget_mb`` override the bundled model's
-        large-N memory knobs for this host (see :class:`ForecastService`).
-        ``backend`` overrides the backend name the bundle recorded; without
-        an override, a recorded backend that is registered here but not
-        installed (e.g. a numba-trained bundle on a numba-less host) falls
-        back to ``numpy`` with a warning — an unknown name still raises
-        :class:`ValueError`.  ``verify_digest=False`` skips the bundle's
+        large-N memory knobs for this host and ``use_kernel`` picks the
+        serving path (see :class:`ForecastService`).  ``verify_digest=False`` skips the bundle's
         SHA-256 payload check (see :func:`repro.utils.load_bundle`) — the
         serving cluster uses it for workers whose parent already verified
         the same file.
         """
         bundle = load_bundle(path, verify_digest=verify_digest)
-        recorded = bundle.config.get("backend") if bundle.config else None
-        if backend is not None:
-            get_backend(backend)  # surface unknown/unavailable now
-            bundle.config["backend"] = backend
-        elif recorded is not None:
-            try:
-                get_backend(recorded)
-            except BackendUnavailableError:
-                from repro.utils.logging import get_logger
-
-                get_logger("repro.serve").warning(
-                    "bundle was saved with backend %r, which is not available "
-                    "on this host; serving on the numpy reference backend",
-                    recorded,
-                )
-                bundle.config["backend"] = "numpy"
         model = cls._build_model(bundle)
         scaler = cls._build_scaler(bundle)
         return cls(

@@ -262,13 +262,6 @@ def save_bundle(
         from dataclasses import asdict, is_dataclass
 
         config_dict = asdict(config) if is_dataclass(config) else dict(vars(config))
-        # Record the backend the model actually resolved (not the possibly-
-        # None configured name) so a serving host knows what the checkpoint
-        # ran on; ForecastService falls back to numpy (with a warning) when
-        # the recorded backend is not installed there.
-        backend = getattr(getattr(model, "backend", None), "name", None)
-        if backend is not None:
-            config_dict["backend"] = backend
 
     scaler_state = None
     if scaler is not None:
@@ -361,7 +354,11 @@ def rehydrate_model(bundle: CheckpointBundle) -> Module:
         raise ValueError("bundle is missing the model config")
     from repro.core import SAGDFN, SAGDFNConfig
 
-    model = SAGDFN(SAGDFNConfig(**bundle.config))
+    # Older bundles record the name of an execution backend, a config field
+    # that no longer exists.  Drop exactly that key so they keep loading;
+    # any other unknown key still fails loudly.
+    config = {key: value for key, value in bundle.config.items() if key != "backend"}
+    model = SAGDFN(SAGDFNConfig(**config))
     model.to(np.dtype(bundle.dtype))
     if bundle.sampler_candidates is not None:
         model.sampler.candidates = np.asarray(bundle.sampler_candidates, dtype=np.int64)

@@ -145,6 +145,38 @@ class TestMismatchedArchives:
             ForecastService.from_checkpoint(path)
 
 
+    @staticmethod
+    def _with_config_key(path, dest, key, value):
+        with np.load(path, allow_pickle=False) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        info = json.loads(str(payload["__bundle__"]))
+        info["config"][key] = value
+        payload["__bundle__"] = np.array(json.dumps(info))
+        np.savez(dest, **payload)
+        return dest
+
+    @pytest.mark.parametrize("recorded", ["numpy", "not-installed-here"])
+    def test_recorded_backend_key_is_ignored(self, tmp_path, rng, recorded):
+        """Bundles written while the engine had pluggable execution backends
+        carry ``config["backend"]``; they load and serve bit-identically to
+        the same bundle without the key, whatever name it records."""
+        model = SAGDFN(_tiny_config(seed=5))
+        model.refresh_graph(0)
+        path = save_bundle(model, tmp_path / "bundle")
+        older = self._with_config_key(path, tmp_path / "older.npz", "backend", recorded)
+        batch = rng.normal(size=(2, 4, 8, 2))
+        expected = ForecastService.from_checkpoint(path).predict(batch)
+        served = ForecastService.from_checkpoint(older).predict(batch)
+        assert np.array_equal(served, expected)
+
+    def test_other_unknown_config_keys_still_fail(self, tmp_path):
+        model = SAGDFN(_tiny_config())
+        path = save_bundle(model, tmp_path / "bundle")
+        odd = self._with_config_key(path, tmp_path / "odd.npz", "colour", "blue")
+        with pytest.raises(TypeError, match="colour"):
+            ForecastService.from_checkpoint(odd)
+
+
 class TestBundleIntegrity:
     def test_digest_recorded_and_verified(self, tmp_path):
         model = SAGDFN(_tiny_config())

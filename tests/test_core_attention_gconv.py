@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import FastGraphConv, OneStepFastGConvCell, SparseSpatialMultiHeadAttention
 from repro.nn.module import Parameter
-from repro.tensor import Tensor, check_gradients
+from repro.tensor import Tensor, check_gradients, no_grad
 
 
 @pytest.fixture
@@ -95,6 +95,21 @@ class TestFastGraphConv:
         slim = Tensor(rng.random((14, 4)))
         expected = x.data @ conv.hop_weights[0].data + conv.bias.data
         assert np.allclose(conv(x, slim, index_set).data, expected)
+
+    def test_diffusion_states_match_eq9(self, rng):
+        """s_j = (A @ gather(s_{j-1}) + s_{j-1}) * (D + I)^{-1} (Eq. 9)."""
+        conv = FastGraphConv(input_dim=2, output_dim=3, diffusion_steps=3, seed=4)
+        x = Tensor(rng.normal(size=(2, 9, 2)))
+        slim = Tensor(rng.random((9, 4)))
+        index_set = np.array([0, 3, 5, 7])
+        with no_grad():
+            states = conv.diffusion_states(x, slim, index_set)
+        scale = 1.0 / (slim.data.sum(axis=-1, keepdims=True) + 1.0)
+        expected = x.data
+        for state in states[1:]:
+            gathered = expected[:, index_set, :]
+            expected = (np.einsum("nm,bmc->bnc", slim.data, gathered) + expected) * scale
+            assert np.abs(state.data - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_wrong_input_dim_raises(self, rng, index_set):
         conv = FastGraphConv(input_dim=4, output_dim=3)

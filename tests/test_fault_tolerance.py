@@ -458,6 +458,39 @@ class TestSupervisedRecovery:
                 with pytest.raises(FileNotFoundError):
                     shared_memory.SharedMemory(name=shm.name)
 
+    def test_busy_worker_is_not_declared_dead(self, bundle, windows):
+        """Replies count as liveness: a worker kept busy by back-to-back
+        requests never idles long enough to send a heartbeat, yet must not
+        be killed for heartbeat staleness between batches."""
+        path, _ = bundle
+        ok, failed = [0, 0], []
+        with ServingCluster(path, workers=1, max_batch=2, max_wait_ms=1.0,
+                            heartbeat_interval_s=0.1, heartbeat_timeout_s=0.5,
+                            supervise=True,
+                            supervise_interval_s=0.05) as cluster:
+            stop_at = time.monotonic() + 3.0
+
+            def client(slot):
+                while time.monotonic() < stop_at:
+                    try:
+                        cluster.predict(windows[slot], timeout=60)
+                    except Exception as error:  # noqa: BLE001 - counted
+                        failed.append(repr(error))
+                    else:
+                        ok[slot] += 1
+
+            threads = [threading.Thread(target=client, args=(slot,))
+                       for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            health = cluster.health()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failed == []
+        assert min(ok) > 0
+        assert health.total_restarts == 0
+
     def test_health_snapshot_is_json_safe(self, bundle, windows):
         import json
 

@@ -54,9 +54,9 @@ class TestChunkedSampling:
                               sampler.sample(embeddings, explore=False))
 
     def test_invalid_chunking_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             SignificantNeighborsSampling(10, 4, 2, chunk_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive"):
             SignificantNeighborsSampling(10, 4, 2, memory_budget_mb=0.0)
 
 
@@ -115,9 +115,9 @@ class TestTiledAttention:
                                    atol=1e-12)
 
     def test_invalid_chunking_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             SparseSpatialMultiHeadAttention(4, chunk_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive"):
             SparseSpatialMultiHeadAttention(4, memory_budget_mb=-1.0)
 
 
@@ -143,7 +143,7 @@ class TestChunkedGconv:
                                    atol=1e-12)
 
     def test_invalid_chunk(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node_chunk_size must be >= 1"):
             FastGraphConv(4, 4, node_chunk_size=0)
 
 
@@ -163,6 +163,10 @@ class TestEndToEndChunked:
         assert chunked.attention.chunk_size == 9
         for cell in chunked.forecaster.encoder_cells + chunked.forecaster.decoder_cells:
             assert cell.gates.node_chunk_size == 9
+            assert cell.candidate.node_chunk_size == 9
+        _, budgeted = self._models(memory_budget_mb=2.0)
+        assert budgeted.sampler.memory_budget_mb == 2.0
+        assert budgeted.attention.memory_budget_mb == 2.0
 
     def test_frozen_graph_bit_identical_predictions_close(self, rng):
         plain, chunked = self._models(chunk_size=9)

@@ -177,7 +177,7 @@ class TestRecurrenceSection:
     def test_recurrence_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
         recurrence = report["recurrence"]
-        assert report["schema_version"] == 8
+        assert report["schema_version"] == 9
         assert recurrence["history"] > 0 and recurrence["horizon"] > 0
         (entry,) = recurrence["results"]
         assert entry["num_nodes"] == 24
@@ -243,77 +243,12 @@ class TestRecurrenceSection:
             )
         with pytest.raises(SystemExit):
             run_perf.main(
-                ["--scaling-only", "--backend-only",
+                ["--scaling-only", "--cluster-only",
                  "--output", str(tmp_path / "x.json")]
             )
 
 
-class TestBackendsSection:
-    def test_backends_section_present_and_sane(self, tiny_report):
-        report, _ = tiny_report
-        backends = report["backends"]
-        assert backends["num_nodes"] == 24  # largest benched N
-        entries = {entry["backend"]: entry for entry in backends["results"]}
-        assert set(entries) == {"numpy", "numba"}
-        numpy_entry = entries["numpy"]
-        assert numpy_entry["available"] is True
-        for key in ("pair_scores_ms", "diffusion_aggregate_ms",
-                    "fused_gru_gates_ms"):
-            assert numpy_entry[key] > 0, key
-        numba_entry = entries["numba"]
-        if numba_entry["available"]:
-            # parity of the jitted scoring against the numpy reference
-            assert numba_entry["pair_scores_max_rel_diff"] <= 1e-10
-            assert backends["attention_speedup_numba_over_numpy"] > 0
-        else:
-            assert "numba" in numba_entry["reason"]
-            assert backends["attention_speedup_numba_over_numpy"] is None
-
-    def test_backend_only_mode(self, run_perf, tmp_path):
-        output = tmp_path / "backends.json"
-        report = run_perf.main(
-            [
-                "--backend-only",
-                "--sizes", "24",
-                "--m", "6",
-                "--heads", "2",
-                "--embedding-dim", "4",
-                "--ffn-hidden", "4",
-                "--hidden", "4",
-                "--repeats", "1",
-                "--output", str(output),
-            ]
-        )
-        assert report["benchmark"] == "attention-backends"
-        on_disk = json.loads(output.read_text())
-        assert "results" not in on_disk  # only the backends section is written
-        run_perf.validate_backends(on_disk["backends"])
-
-    def test_backend_speedup_assertion_fails(self, run_perf, tmp_path):
-        """Absurd threshold: fails whether numba is installed or not."""
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                [
-                    "--backend-only",
-                    "--sizes", "24",
-                    "--m", "6",
-                    "--heads", "2",
-                    "--embedding-dim", "4",
-                    "--ffn-hidden", "4",
-                    "--hidden", "4",
-                    "--repeats", "1",
-                    "--assert-backend-speedup", "1e9",
-                    "--output", str(tmp_path / "b.json"),
-                ]
-            )
-
-    def test_unknown_backend_flag_fails_fast(self, run_perf, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend 'nope'"):
-            run_perf.main(
-                ["--backend", "nope", "--backend-only", "--sizes", "24",
-                 "--output", str(tmp_path / "b.json")]
-            )
-
+class TestClusterSection:
     def test_cluster_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
         cluster = report["cluster"]
@@ -375,7 +310,7 @@ class TestBackendsSection:
     def test_cluster_only_is_exclusive_and_validated(self, run_perf, tmp_path):
         with pytest.raises(SystemExit):
             run_perf.main(
-                ["--cluster-only", "--backend-only",
+                ["--cluster-only", "--online-only",
                  "--output", str(tmp_path / "x.json")]
             )
         with pytest.raises(SystemExit):
@@ -555,27 +490,4 @@ class TestFaultsSection:
         with pytest.raises(ValueError, match="never resolved"):
             run_perf.validate_faults(
                 dict(good, faulted=dict(good["faulted"], unresolved=3))
-            )
-
-
-class TestBackendsValidator:
-    def test_backends_validator_rejects_missing_keys(self, run_perf):
-        with pytest.raises(ValueError, match="non-empty results"):
-            run_perf.validate_backends({"results": []})
-        with pytest.raises(ValueError, match="numpy reference"):
-            run_perf.validate_backends(
-                {
-                    "num_nodes": 1, "num_significant": 1, "dtype": "float64",
-                    "attention_speedup_numba_over_numpy": None,
-                    "results": [{"backend": "numba", "available": False,
-                                 "reason": "not installed"}],
-                }
-            )
-        with pytest.raises(ValueError, match="reason"):
-            run_perf.validate_backends(
-                {
-                    "num_nodes": 1, "num_significant": 1, "dtype": "float64",
-                    "attention_speedup_numba_over_numpy": None,
-                    "results": [{"backend": "numpy", "available": False}],
-                }
             )

@@ -8,8 +8,6 @@ these tests assert the contract every cell must satisfy.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.core import SAGDFNConfig
@@ -69,11 +67,7 @@ class TestScenarioBundle:
 
     def test_bundle_config_rebuilds_identically(self, scenario_cell):
         rebuilt = SAGDFNConfig(**scenario_cell.bundle.config)
-        # Bundles record the backend the model actually resolved (the cells
-        # train with backend=None → numpy); every other field round-trips.
-        assert rebuilt.backend == "numpy"
-        assert rebuilt == dataclasses.replace(scenario_cell.config,
-                                              backend=rebuilt.backend)
+        assert rebuilt == scenario_cell.config
 
 
 class TestScenarioServing:
