@@ -14,13 +14,13 @@ Times the three costs that dominate SAGDFN training at Table VI/VII scales
   memory (tracemalloc + RSS high watermark) of one chunked SNS + attention
   forward at N ∈ {500, 2000, 5000, 10000}, with a bit-identity check against
   the unchunked path at every N where both are run;
-* ``recurrence`` — the fused encoder–decoder hot path (schema v4): frozen-
-  graph forward wall time of the pre-fusion per-gate reference loop, the
-  fused autograd forward and the no-grad serving kernel (plus per-step
-  times and max relative deviations), and the serve throughput-vs-batch
-  curve of the kernel.  ``--assert-recurrence-speedup`` /
-  ``--assert-serve-batch-growth`` gate CI on the fused speedup and on the
-  batch-8-vs-batch-1 throughput ratio;
+* ``recurrence`` — the encoder–decoder recurrence (schema v10): frozen-
+  graph wall time of the no-grad autograd forward, the serving kernel and
+  one forward + backward (plus the kernel's per-step time and its max
+  relative deviation from the autograd forward), and the serve
+  throughput-vs-batch curve of the kernel.  ``--assert-recurrence-speedup``
+  / ``--assert-serve-batch-growth`` gate CI on the kernel-over-forward
+  speedup and on the batch-8-vs-batch-1 throughput ratio;
 * ``cluster`` — multi-worker serving (schema v6): a frozen bundle served
   through :class:`~repro.serve.ServingCluster` at ``--cluster-workers``
   (default 1/2/4), recording throughput, request-level p50/p95 latency
@@ -36,10 +36,11 @@ Times the three costs that dominate SAGDFN training at Table VI/VII scales
   complete), and the bitwise ``swap_parity`` of a hot-swapped service
   against a cold start from the same index set.
   ``--assert-swap-parity`` gates CI on that bitwise check.
-* ``faults`` — fault tolerance (schema v8): the same concurrent burst is
-  served twice through a supervised cluster, fault-free and under a seeded
-  :class:`~repro.serve.FaultPlan` that SIGKILLs every worker once —
-  recording throughput retention, how every request resolved (nothing may
+* ``faults`` — fault tolerance (schema v8; goodput since v10): the same
+  concurrent burst is served twice through a supervised cluster,
+  fault-free and under a seeded :class:`~repro.serve.FaultPlan` that
+  SIGKILLs every worker once — recording goodput (successful requests per
+  second) and its retention, how every request resolved (nothing may
   hang), and ``recovery_s``, the post-burst time the supervisor needed to
   respawn the pool to full strength.  ``--assert-fault-recovery`` gates CI
   on zero unresolved requests, a fully restored pool with no parked
@@ -88,7 +89,7 @@ from repro.optim import Adam, clip_grad_norm
 from repro.serve import ForecastService
 from repro.tensor import Tensor, default_dtype, no_grad
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 DEFAULT_SIZES = (200, 2000)
 SCALING_SIZES = (500, 2000, 5000, 10000)
 SERVE_BATCH_SIZES = (1, 8, 32)
@@ -249,25 +250,22 @@ def bench_recurrence(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats
                      dtype: str = "float32", history: int = RECURRENCE_HISTORY,
                      horizon: int = RECURRENCE_HORIZON,
                      batch_sizes=SERVE_BATCH_SIZES) -> dict:
-    """Fused encoder–decoder hot path over a frozen graph (schema v4).
+    """Encoder–decoder recurrence over a frozen graph (schema v10).
 
     For each ``N`` builds a SAGDFN, freezes its graph into a
     :class:`ForecastService`, and times the ``history + horizon``-step
-    recurrence three ways on the same batch-1 window:
+    recurrence on the same batch-1 window:
 
-    * ``reference_ms`` — :meth:`forward_reference`, the pre-fusion per-gate
-      concat loop (the seed implementation's math and cost);
-    * ``fused_ms`` — the fused autograd forward (shared diffusion states,
-      gate fusion, input-side precompute);
+    * ``forward_ms`` — the autograd forward under ``no_grad``;
     * ``kernel_ms`` — the raw-ndarray no-grad serving kernel behind
       ``service.predict`` (the per-request production path);
-    * ``train_*_ms`` — the same fused-vs-reference comparison through
-      forward *plus* backward (the training direction, where the fused
-      path's smaller autograd graph also pays).
+      ``kernel_speedup`` is ``forward_ms / kernel_ms``;
+    * ``train_ms`` — the autograd forward *plus* backward (the training
+      direction).
 
-    The recorded ``max_rel_diff_*`` values document the ≤1e-10 equivalence
-    of both fast paths against the reference.  The serve throughput-vs-batch
-    curve replays ``service.predict`` at growing batch sizes
+    ``max_rel_diff_kernel`` documents the kernel's equivalence with the
+    autograd forward.  The serve throughput-vs-batch curve replays
+    ``service.predict`` at growing batch sizes
     (``throughput_batch8_over_batch1`` summarises it; on a single-core host
     the curve is roughly flat because every op already saturates the core at
     batch 1 — multi-core BLAS bends it upward).
@@ -287,46 +285,27 @@ def bench_recurrence(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats
             model = SAGDFN(config)
             model.refresh_graph(0)
             service = ForecastService(model)
-            forecaster = model.forecaster
             adjacency = service._adjacency_tensor
             degree_scale = service._degree_scale_tensor
             index_set = service.frozen.index_set
             window = rng.normal(size=(1, history, num_nodes, config.input_dim))
             x = Tensor(window)
 
+            def forward():
+                return model.forecaster(x, adjacency, index_set, degree_scale=degree_scale)
+
             with no_grad():
-                reference = forecaster.forward_reference(
-                    x, adjacency, index_set, degree_scale=degree_scale
-                ).data
-                fused = forecaster(
-                    x, adjacency, index_set, degree_scale=degree_scale
-                ).data
+                module = forward().data
+                forward_ms = _time(forward, repeats)
             kernel = service.predict(window)
-            scale_ref = np.abs(reference).max()
-
-            def time_no_grad(fn):
-                with no_grad():
-                    return _time(fn, repeats)
-
-            reference_ms = time_no_grad(
-                lambda: forecaster.forward_reference(
-                    x, adjacency, index_set, degree_scale=degree_scale
-                )
-            )
-            fused_ms = time_no_grad(
-                lambda: forecaster(x, adjacency, index_set, degree_scale=degree_scale)
-            )
             kernel_ms = _time(lambda: service.predict(window), repeats)
 
-            def train_direction(forward):
+            def train_direction():
                 model.zero_grad()
-                forward(x, adjacency, index_set, degree_scale=degree_scale).sum().backward()
+                forward().sum().backward()
 
             model.train()
-            train_fused_ms = _time(lambda: train_direction(forecaster.forward), repeats)
-            train_reference_ms = _time(
-                lambda: train_direction(forecaster.forward_reference), repeats
-            )
+            train_ms = _time(train_direction, repeats)
             model.eval()
             steps = history + horizon
             entry = {
@@ -334,30 +313,22 @@ def bench_recurrence(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats
                 "num_significant": int(m_eff),
                 "dtype": dtype,
                 "steps": int(steps),
-                "reference_ms": reference_ms,
-                "fused_ms": fused_ms,
+                "forward_ms": forward_ms,
                 "kernel_ms": kernel_ms,
-                "fused_speedup": reference_ms / fused_ms,
-                "kernel_speedup": reference_ms / kernel_ms,
-                "train_fused_ms": train_fused_ms,
-                "train_reference_ms": train_reference_ms,
-                "train_speedup": train_reference_ms / train_fused_ms,
-                "per_step_reference_ms": reference_ms / steps,
-                "per_step_fused_ms": fused_ms / steps,
+                "train_ms": train_ms,
+                "kernel_speedup": forward_ms / kernel_ms,
                 "per_step_kernel_ms": kernel_ms / steps,
-                "max_rel_diff_fused": float(np.abs(fused - reference).max() / scale_ref),
-                "max_rel_diff_kernel": float(np.abs(kernel - reference).max() / scale_ref),
+                "max_rel_diff_kernel": float(
+                    np.abs(kernel - module).max() / np.abs(module).max()
+                ),
             }
             entries.append(entry)
             print(
                 f"recurrence N={num_nodes:>6} M={m_eff:>3} {dtype}: "
-                f"reference {reference_ms:.1f} ms, fused {fused_ms:.1f} ms "
-                f"({entry['fused_speedup']:.2f}x), kernel {kernel_ms:.1f} ms "
+                f"forward {forward_ms:.1f} ms, kernel {kernel_ms:.1f} ms "
                 f"({entry['kernel_speedup']:.2f}x), train fwd+bwd "
-                f"{train_reference_ms:.0f}->{train_fused_ms:.0f} ms "
-                f"({entry['train_speedup']:.2f}x), "
-                f"rel diff fused {entry['max_rel_diff_fused']:.2e} "
-                f"kernel {entry['max_rel_diff_kernel']:.2e}",
+                f"{train_ms:.0f} ms, kernel rel diff "
+                f"{entry['max_rel_diff_kernel']:.2e}",
                 flush=True,
             )
 
@@ -788,8 +759,9 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
     Runs the same concurrent burst twice through a supervised
     :class:`~repro.serve.ServingCluster`: once fault-free (the baseline)
     and once under a seeded :class:`~repro.serve.FaultPlan` that SIGKILLs
-    every worker once.  Records how much throughput the faulted run
-    retains, how every request resolved (``unresolved`` must be zero —
+    every worker once.  Records the goodput (successful requests per
+    second) of each run and how much of it the faulted run retains, how
+    every request resolved (``unresolved`` must be zero —
     nothing may hang), and how long after the burst the supervisor needed
     to respawn the pool to full strength.  ``recovery_s`` is gated against
     ``restart_backoff_ceiling_s`` by ``--assert-fault-recovery``.
@@ -825,20 +797,18 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
     )
 
     def burst(cluster, windows):
-        latencies: list[float] = []
         begin = time.perf_counter()
-        futures = []
-        for window in windows:
-            submitted = time.perf_counter()
+        submitted, finished, futures = [], {}, []
+        for i, window in enumerate(windows):
+            submitted.append(time.perf_counter())
             future = cluster.submit(window)
             future.add_done_callback(
-                lambda f, s=submitted: latencies.append(
-                    (time.perf_counter() - s) * 1000.0
-                )
+                lambda f, i=i: finished.setdefault(i, time.perf_counter())
             )
             futures.append(future)
         ok = typed_errors = unresolved = 0
-        for future in futures:
+        latencies: list[float] = []  # successful requests only
+        for i, future in enumerate(futures):
             try:
                 future.result(timeout=600)
             except (ClusterError, Overloaded, DeadlineExceeded):
@@ -847,14 +817,16 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
                 unresolved += 1
             else:
                 ok += 1
+                # Callbacks run just after result() waiters wake.
+                done = finished.setdefault(i, time.perf_counter())
+                latencies.append((done - submitted[i]) * 1000.0)
         elapsed = time.perf_counter() - begin
         return {
             "ok": int(ok),
             "typed_errors": int(typed_errors),
             "unresolved": int(unresolved),
-            "throughput_rps": (
-                len(windows) / elapsed if elapsed > 0 else float("inf")
-            ),
+            "elapsed_s": float(elapsed),
+            "goodput_rps": ok / elapsed if elapsed > 0 else float("inf"),
             "latency_p95_ms": float(np.percentile(latencies, 95))
             if latencies else None,
         }
@@ -892,13 +864,13 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
             pool_restored = health.num_alive == workers
 
     retention = (
-        faulted["throughput_rps"] / baseline["throughput_rps"]
-        if baseline["throughput_rps"] else None
+        faulted["goodput_rps"] / baseline["goodput_rps"]
+        if baseline["goodput_rps"] else None
     )
     print(
-        f"faults N={num_nodes:>6} workers={workers}: baseline "
-        f"{baseline['throughput_rps']:.1f} req/s -> faulted "
-        f"{faulted['throughput_rps']:.1f} req/s "
+        f"faults N={num_nodes:>6} workers={workers}: baseline goodput "
+        f"{baseline['goodput_rps']:.1f} req/s -> faulted "
+        f"{faulted['goodput_rps']:.1f} req/s "
         f"({faulted['ok']} ok / {faulted['typed_errors']} typed / "
         f"{faulted['unresolved']} unresolved), recovery {recovery_s:.2f} s, "
         f"{health.total_restarts} restart(s), {health.num_parked} parked",
@@ -914,7 +886,7 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
         "plan": plan.summary(),
         "baseline": baseline,
         "faulted": faulted,
-        "throughput_retention": retention,
+        "goodput_retention": retention,
         "recovery_s": recovery_s,
         "pool_restored": bool(pool_restored),
         "parked_workers": int(health.num_parked),
@@ -989,8 +961,8 @@ def run(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats,
                             ffn_hidden, repeats, scaling_budget_mb,
                             scaling_equivalence_max_n)
 
-    # Fused recurrence hot path: reference vs fused vs serving kernel, plus
-    # the kernel's throughput-vs-batch curve.
+    # Recurrence: autograd forward vs serving kernel, one forward + backward,
+    # and the kernel's throughput-vs-batch curve.
     if recurrence_sizes is None:
         recurrence_sizes = [max(sizes)]
     recurrence = bench_recurrence(recurrence_sizes, m, heads, embedding_dim,
@@ -1061,11 +1033,9 @@ def validate_recurrence(section: dict) -> None:
         if key not in section:
             raise ValueError(f"recurrence section missing key {key!r}")
     for entry in section["results"]:
-        for key in ("num_nodes", "dtype", "steps", "reference_ms", "fused_ms",
-                    "kernel_ms", "fused_speedup", "kernel_speedup",
-                    "train_fused_ms", "train_reference_ms", "train_speedup",
-                    "per_step_fused_ms", "per_step_kernel_ms",
-                    "max_rel_diff_fused", "max_rel_diff_kernel"):
+        for key in ("num_nodes", "dtype", "steps", "forward_ms", "kernel_ms",
+                    "train_ms", "kernel_speedup", "per_step_kernel_ms",
+                    "max_rel_diff_kernel"):
             if key not in entry:
                 raise ValueError(f"recurrence entry missing key {key!r}: {entry}")
     for entry in section["serve_throughput"]:
@@ -1117,7 +1087,7 @@ def validate_faults(section: dict) -> None:
     if not isinstance(section, dict):
         raise ValueError("faults section must be a dict")
     for key in ("num_nodes", "workers", "requests", "plan", "baseline",
-                "faulted", "throughput_retention", "recovery_s",
+                "faulted", "goodput_retention", "recovery_s",
                 "pool_restored", "parked_workers", "total_restarts",
                 "redispatches", "restart_backoff_s",
                 "restart_backoff_ceiling_s"):
@@ -1125,8 +1095,8 @@ def validate_faults(section: dict) -> None:
             raise ValueError(f"faults section missing key {key!r}")
     for name in ("baseline", "faulted"):
         entry = section[name]
-        for key in ("ok", "typed_errors", "unresolved", "throughput_rps",
-                    "latency_p95_ms"):
+        for key in ("ok", "typed_errors", "unresolved", "elapsed_s",
+                    "goodput_rps", "latency_p95_ms"):
             if key not in entry:
                 raise ValueError(
                     f"faults {name} entry missing key {key!r}: {entry}"
@@ -1203,13 +1173,14 @@ def main(argv=None) -> dict:
                         help="exit non-zero if any scaling entry's tracemalloc peak "
                              "exceeds this many MiB")
     parser.add_argument("--recurrence-sizes", type=int, nargs="+", default=None,
-                        help="node counts of the fused-recurrence bench "
+                        help="node counts of the recurrence bench "
                              "(default: the largest of --sizes)")
     parser.add_argument("--recurrence-only", action="store_true",
                         help="run (and write) only the recurrence section")
     parser.add_argument("--assert-recurrence-speedup", type=float, default=None,
-                        help="exit non-zero if the serving-kernel-vs-reference "
-                             "speedup of any recurrence entry is below this factor")
+                        help="exit non-zero if the serving-kernel-vs-autograd-"
+                             "forward speedup of any recurrence entry is below "
+                             "this factor")
     parser.add_argument("--assert-serve-batch-growth", type=float, default=None,
                         help="exit non-zero if serve throughput at batch 8 is not "
                              "at least this multiple of the batch-1 throughput")

@@ -95,8 +95,8 @@ class SAGDFNConfig:
         carries one trailing observation-mask channel (1 = observed,
         0 = missing).  The data layer zero-imputes missing endogenous
         readings *in normalised units* (i.e. mean-imputation in original
-        units) and the mask channel flows through the same diffusion-state
-        precompute and fused gates as every other channel, so the cells see
+        units) and the mask channel is diffused and gated like every other
+        channel, so the cells see
         both how much signal a node aggregated and which inputs were
         imputed — missing entries influence neither the loss nor any
         gradient.

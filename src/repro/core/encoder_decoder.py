@@ -18,14 +18,6 @@ class SAGDFNEncoderDecoder(Module):
     last observation ``X_{t0}`` and rolls forward ``f`` steps, feeding each
     prediction back as the next input.
 
-    The hot path is the **fused recurrence**: before the encoder loop the
-    input-side diffusion states of *all* history steps are computed in one
-    batched aggregation (the time axis is folded into the batch axis, so
-    the whole precompute is a handful of ``(B·h·N, C)``-sized BLAS calls),
-    and each encoder step then only aggregates the hidden state through the
-    cells' fused gates.  :meth:`forward_reference` retains the historical
-    per-gate concat-based loop for equivalence testing and benchmarking.
-
     Parameters
     ----------
     input_dim:
@@ -54,8 +46,8 @@ class SAGDFNEncoderDecoder(Module):
         never covariates.
     mask_input:
         When ``True`` the encoder input additionally carries a trailing
-        observation-mask channel; it flows through the same diffusion-state
-        precompute and fused gates as every other channel.
+        observation-mask channel; it is diffused and gated like every other
+        channel.
     quantiles:
         Probabilistic head: the decoder cells project every step to
         ``output_dim · len(quantiles)`` columns (ordered by quantile level),
@@ -151,55 +143,14 @@ class SAGDFNEncoderDecoder(Module):
         adjacency: Tensor,
         index_set: np.ndarray | None,
         degree_scale: Tensor | None = None,
-        prepared: list[dict[str, Tensor]] | None = None,
-        x_states: list[Tensor] | None = None,
-        need_prediction: bool = True,
-    ) -> tuple[list[Tensor], Tensor | None]:
-        """Push one time step through the stacked cells.
-
-        ``x_states`` are precomputed input-side diffusion states for the
-        *first* cell only; deeper layers consume the hidden state of the
-        layer below, which cannot be precomputed.
-        """
+    ) -> tuple[list[Tensor], Tensor]:
+        """Push one time step through the stacked cells."""
         new_hiddens: list[Tensor] = []
         current = x
-        prediction = None
-        last = len(cells) - 1
-        for layer, (cell, hidden) in enumerate(zip(cells, hiddens)):
-            hidden, prediction = cell(
-                current, hidden, adjacency, index_set, degree_scale,
-                x_states=x_states if layer == 0 else None,
-                prepared=prepared[layer] if prepared is not None else None,
-                need_prediction=need_prediction and layer == last,
-            )
-            new_hiddens.append(hidden)
-            current = hidden
+        for cell, hidden in zip(cells, hiddens):
+            current, prediction = cell(current, hidden, adjacency, index_set, degree_scale)
+            new_hiddens.append(current)
         return new_hiddens, prediction
-
-    def _precompute_input_states(
-        self,
-        history: Tensor,
-        adjacency: Tensor,
-        index_set: np.ndarray | None,
-        degree_scale: Tensor | None,
-    ) -> list[list[Tensor]]:
-        """Input-side diffusion states of every encoder step, batched.
-
-        The aggregation is linear and channel-wise, so the input half of
-        every gate can be diffused for the *whole history at once*: the time
-        axis is folded into the batch axis and the ``J - 1`` aggregation
-        hops run as ``(B·h·N, C)``-sized batched BLAS calls instead of
-        ``h`` per-step ones.  The per-step recurrence then only aggregates
-        the hidden state.  Returns ``states[t][j]``, the hop-``j`` state of
-        step ``t``; memory stays at input scale (``J ×`` the history
-        itself).
-        """
-        first = self.encoder_cells[0]
-        batch, steps, num_nodes, channels = history.shape
-        flat = history.reshape(batch * steps, num_nodes, channels)
-        states = first.gates.diffusion_states(flat, adjacency, index_set, degree_scale)
-        per_hop = [s.reshape(batch, steps, num_nodes, channels) for s in states]
-        return [[hop[:, t] for hop in per_hop] for t in range(steps)]
 
     def forward(
         self,
@@ -220,18 +171,12 @@ class SAGDFNEncoderDecoder(Module):
             raise ValueError(f"history must be (batch, steps, nodes, channels), got {history.shape}")
         batch, steps, num_nodes, _ = history.shape
         index_set = as_index_array(index_set)
-        prepared_encoder = [cell.prepare_weights() for cell in self.encoder_cells]
-        prepared_decoder = [cell.prepare_weights() for cell in self.decoder_cells]
 
         encoder_hiddens = [cell.initial_state(batch, num_nodes) for cell in self.encoder_cells]
-        input_states = self._precompute_input_states(
-            history, adjacency, index_set, degree_scale
-        )
         for t in range(steps):
             encoder_hiddens, _ = self._run_stack(
                 self.encoder_cells, history[:, t], encoder_hiddens, adjacency, index_set,
-                degree_scale, prepared=prepared_encoder,
-                x_states=input_states[t], need_prediction=False,
+                degree_scale,
             )
 
         decoder_hiddens = encoder_hiddens
@@ -240,59 +185,7 @@ class SAGDFNEncoderDecoder(Module):
         for step in range(self.horizon):
             decoder_hiddens, prediction = self._run_stack(
                 self.decoder_cells, decoder_input, decoder_hiddens, adjacency, index_set,
-                degree_scale, prepared=prepared_decoder,
-            )
-            predictions.append(prediction)
-            use_truth = (
-                targets is not None
-                and self.training
-                and self.teacher_forcing > 0.0
-                and self._rng.random() < self.teacher_forcing
-            )
-            decoder_input = targets[:, step] if use_truth else self._feedback(prediction)
-        return stack(predictions, axis=1)
-
-    def forward_reference(
-        self,
-        history: Tensor,
-        adjacency: Tensor,
-        index_set: np.ndarray | None = None,
-        targets: Tensor | None = None,
-        degree_scale: Tensor | None = None,
-    ) -> Tensor:
-        """The historical (pre-fusion) forward: per-gate concat recurrence.
-
-        Runs :meth:`OneStepFastGConvCell.forward_reference` at every step —
-        no gate fusion, no shared diffusion states, no input precompute —
-        matching the seed implementation's math and cost.  Teacher forcing
-        consumes the same RNG stream as :meth:`forward`, so with equal RNG
-        state the two paths make identical curriculum decisions.
-        """
-        if history.ndim != 4:
-            raise ValueError(f"history must be (batch, steps, nodes, channels), got {history.shape}")
-        batch, steps, num_nodes, _ = history.shape
-        index_set = as_index_array(index_set)
-
-        def run_stack(cells, x, hiddens):
-            new_hiddens, current, prediction = [], x, None
-            for cell, hidden in zip(cells, hiddens):
-                hidden, prediction = cell.forward_reference(
-                    current, hidden, adjacency, index_set, degree_scale
-                )
-                new_hiddens.append(hidden)
-                current = hidden
-            return new_hiddens, prediction
-
-        encoder_hiddens = [cell.initial_state(batch, num_nodes) for cell in self.encoder_cells]
-        for t in range(steps):
-            encoder_hiddens, _ = run_stack(self.encoder_cells, history[:, t], encoder_hiddens)
-
-        decoder_hiddens = encoder_hiddens
-        decoder_input = history[:, -1, :, : self.output_dim]
-        predictions: list[Tensor] = []
-        for step in range(self.horizon):
-            decoder_hiddens, prediction = run_stack(
-                self.decoder_cells, decoder_input, decoder_hiddens
+                degree_scale,
             )
             predictions.append(prediction)
             use_truth = (

@@ -11,21 +11,6 @@ over either the slim ``(N, M)`` adjacency (SAGDFN) or a dense ``(N, N)``
 support (the "w/o SNS & SSMA" ablation and predefined-graph baselines).
 :class:`OneStepFastGConvCell` replaces every matrix multiplication of a GRU
 cell with this operator, yielding the recurrent unit of Eq. 10.
-
-The cell's hot path is **fused**: the reset and update gates historically ran
-two independent convolutions over the same ``concat([x, hidden])`` input —
-paying the ``O(B·N·M·d)`` diffusion aggregation twice — and the candidate
-paid it a third time.  The current layout stores both gates as a single
-:class:`FastGraphConv` of doubled output width (``self.gates``), and exploits
-the channel-wise linearity of the aggregation
-(``agg(concat(x, h)) ≡ concat(agg(x), agg(h))``) to drop the per-step
-``concat`` allocations entirely: every hop weight is split into its
-input-side and hidden-side row blocks, the input diffusion states are
-computed once (and may be *precomputed for a whole sequence* by the
-encoder — see :meth:`FastGraphConv.diffusion_states`), and the per-step
-recurrence only aggregates the hidden state.  :meth:`forward_reference`
-retains the original concat-based math for equivalence testing and as the
-perf baseline.
 """
 
 from __future__ import annotations
@@ -92,13 +77,13 @@ class FastGraphConv(Module):
 
         The states depend only on the graph (adjacency / index set / degree
         scale) and the signal ``x`` — not on this layer's weights — so one
-        state computation can feed several weight applications (the fused
-        GRU gates), and a whole input sequence can be diffused in one
-        batched call by folding the time axis into the batch axis before
-        calling this.
+        state computation can feed several weight applications (the reset
+        and update gates of :class:`OneStepFastGConvCell`).
 
         Honors ``node_chunk_size`` exactly like :meth:`forward`.
         """
+        if x.shape[-1] != self.input_dim:
+            raise ValueError(f"expected last dimension {self.input_dim}, got {x.shape}")
         if degree_scale is not None:
             scale = degree_scale
         else:
@@ -131,12 +116,21 @@ class FastGraphConv(Module):
             states.append(current)
         return states
 
-    def apply_states(self, states: list[Tensor]) -> Tensor:
-        """Project precomputed diffusion states: ``Σ_j states[j] W_j + b``."""
-        output = states[0].matmul(self.hop_weights[0])
-        for state, hop_weight in zip(states[1:], self.hop_weights[1:]):
-            output = output + state.matmul(hop_weight)
-        return output + self.bias
+    def apply_states(self, states: list[Tensor], columns: slice | None = None) -> Tensor:
+        """Project precomputed diffusion states: ``Σ_j states[j] W_j + b``.
+
+        ``columns`` restricts the projection to a block of output columns
+        (``W_j[:, columns]``, ``b[columns]``).
+        """
+        weights = self.hop_weights
+        bias = self.bias
+        if columns is not None:
+            weights = [weight[:, columns] for weight in weights]
+            bias = bias[columns]
+        output = states[0].matmul(weights[0])
+        for state, weight in zip(states[1:], weights[1:]):
+            output = output + state.matmul(weight)
+        return output + bias
 
     def forward(
         self,
@@ -165,8 +159,6 @@ class FastGraphConv(Module):
         and attention paths) while its transient buffers stay ``O(chunk)``
         along the node axis.
         """
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(f"expected last dimension {self.input_dim}, got {x.shape}")
         return self.apply_states(
             self.diffusion_states(x, adjacency, index_set, degree_scale)
         )
@@ -281,22 +273,6 @@ class OneStepFastGConvCell(Module):
             np.zeros((batch_size, num_nodes, self.hidden_dim), dtype=dtype), dtype=dtype
         )
 
-    def prepare_weights(self) -> dict[str, Tensor]:
-        """Stacked views of the fused weights for single-gemm application.
-
-        Stacks the hop weights vertically, matching a diffusion-state
-        concatenation ordered ``[x_0, h_0, x_1, h_1, …]`` (every hop weight
-        already carries its input-side rows first).  The stacks are autograd
-        views of the live parameters, so they must be rebuilt per forward
-        call (optimiser steps rebind the parameter data) — the
-        encoder–decoder builds them once per sequence, replacing ``2·J``
-        small matmuls per gate application with one.
-        """
-        return {
-            "gates": concat(self.gates.hop_weights, axis=0),
-            "candidate": concat(self.candidate.hop_weights, axis=0),
-        }
-
     def forward(
         self,
         x: Tensor,
@@ -304,88 +280,23 @@ class OneStepFastGConvCell(Module):
         adjacency: Tensor,
         index_set: np.ndarray | None = None,
         degree_scale: Tensor | None = None,
-        x_states: list[Tensor] | None = None,
-        prepared: dict[str, Tensor] | None = None,
-        need_prediction: bool = True,
-    ) -> tuple[Tensor, Tensor | None]:
-        """One recurrence step; returns ``(new_hidden, prediction)``.
-
-        ``x_states`` optionally supplies precomputed input-side diffusion
-        states (the encoder batches them for the whole history before its
-        loop); when given, the step's only aggregation work is the hidden
-        state and the reset-scaled hidden state, and ``x`` is never
-        touched.  ``prepared`` reuses :meth:`prepare_weights` stacks across
-        steps; ``need_prediction=False`` skips the projection matmul (the
-        encoder discards predictions).
-        """
-        index_set = as_index_array(index_set)
-        if prepared is None:
-            prepared = self.prepare_weights()
-        if x_states is None:
-            x_states = self.gates.diffusion_states(x, adjacency, index_set, degree_scale)
-        h_states = self.gates.diffusion_states(hidden, adjacency, index_set, degree_scale)
-        stacked = concat(
-            [state for pair in zip(x_states, h_states) for state in pair], axis=-1
-        )
-        gate_pre = stacked.matmul(prepared["gates"]) + self.gates.bias
-        gates = gate_pre.sigmoid()
-        reset = gates[..., : self.hidden_dim]
-        update = gates[..., self.hidden_dim :]
-        rh_states = self.candidate.diffusion_states(
-            reset * hidden, adjacency, index_set, degree_scale
-        )
-        stacked = concat(
-            [state for pair in zip(x_states, rh_states) for state in pair], axis=-1
-        )
-        cand_pre = stacked.matmul(prepared["candidate"]) + self.candidate.bias
-        new_hidden = update * hidden + (1.0 - update) * cand_pre.tanh()
-        prediction = new_hidden.matmul(self.projection) if need_prediction else None
-        return new_hidden, prediction
-
-    def forward_reference(
-        self,
-        x: Tensor,
-        hidden: Tensor,
-        adjacency: Tensor,
-        index_set: np.ndarray | None = None,
-        degree_scale: Tensor | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """The historical per-gate recurrence step, kept as reference.
+        """One recurrence step (Eq. 10); returns ``(new_hidden, prediction)``.
 
-        Materialises ``concat([x, hidden])`` and runs an independent
-        full-width diffusion aggregation per gate — the seed cost profile —
-        so equivalence tests and the perf benchmark compare the fused hot
-        path against the original math (and the original amount of work).
+        Both gates read one diffusion of ``concat([x, hidden])``; the
+        candidate diffuses ``concat([x, reset · hidden])``.
         """
         index_set = as_index_array(index_set)
         hidden_dim = self.hidden_dim
-        combined = concat([x, hidden], axis=-1)
-        reset = self._reference_gate(
-            combined, adjacency, index_set, degree_scale, slice(0, hidden_dim)
-        ).sigmoid()
-        update = self._reference_gate(
-            combined, adjacency, index_set, degree_scale, slice(hidden_dim, 2 * hidden_dim)
-        ).sigmoid()
-        candidate_input = concat([x, reset * hidden], axis=-1)
+        states = self.gates.diffusion_states(
+            concat([x, hidden], axis=-1), adjacency, index_set, degree_scale
+        )
+        # Slice the small weights, not the (B, N, 2H) gates: a sliced tensor's
+        # backward scatters into a full-size zero array.
+        reset = self.gates.apply_states(states, slice(0, hidden_dim)).sigmoid()
+        update = self.gates.apply_states(states, slice(hidden_dim, None)).sigmoid()
         candidate = self.candidate(
-            candidate_input, adjacency, index_set, degree_scale
+            concat([x, reset * hidden], axis=-1), adjacency, index_set, degree_scale
         ).tanh()
         new_hidden = update * hidden + (1.0 - update) * candidate
-        prediction = new_hidden.matmul(self.projection)
-        return new_hidden, prediction
-
-    def _reference_gate(
-        self,
-        combined: Tensor,
-        adjacency: Tensor,
-        index_set: np.ndarray | None,
-        degree_scale: Tensor | None,
-        columns: slice,
-    ) -> Tensor:
-        """One legacy gate: its own aggregation over the concatenated input."""
-        conv = self.gates
-        states = conv.diffusion_states(combined, adjacency, index_set, degree_scale)
-        output = states[0].matmul(conv.hop_weights[0][:, columns])
-        for state, hop in zip(states[1:], conv.hop_weights[1:]):
-            output = output + state.matmul(hop[:, columns])
-        return output + conv.bias[columns]
+        return new_hidden, new_hidden.matmul(self.projection)

@@ -143,18 +143,3 @@ class SAGDFN(Module):
         adjacency = self.slim_adjacency()
         index_set = None if self.config.use_predefined_graph else self._index_set
         return self.forecaster(history, adjacency, index_set, targets=targets)
-
-    def forward_reference(self, history: Tensor, targets: Tensor | None = None) -> Tensor:
-        """:meth:`forward` through the pre-fusion per-gate recurrence.
-
-        Identical graph pipeline (SNS + attention), but the encoder–decoder
-        runs :meth:`SAGDFNEncoderDecoder.forward_reference` — the historical
-        concat-based per-gate loop kept as the equivalence/perf baseline.
-        """
-        if not isinstance(history, Tensor):
-            history = Tensor(history)
-        adjacency = self.slim_adjacency()
-        index_set = None if self.config.use_predefined_graph else self._index_set
-        return self.forecaster.forward_reference(
-            history, adjacency, index_set, targets=targets
-        )

@@ -1,9 +1,10 @@
 """Raw-ndarray serving kernel for the frozen-graph fused recurrence.
 
-:class:`FrozenRecurrenceKernel` runs the exact computation of
-:meth:`repro.core.encoder_decoder.SAGDFNEncoderDecoder.forward` — fused
-gates, shared diffusion states, input-side precompute — but on plain NumPy
-arrays: no autograd ``Tensor`` wrapping, no graph construction, and a
+:class:`FrozenRecurrenceKernel` runs the recurrence of
+:meth:`repro.core.encoder_decoder.SAGDFNEncoderDecoder.forward` (Eq. 10) on
+plain NumPy arrays, with the channel-wise linearity of the diffusion
+exploited to split every hop weight into input-side and hidden-side row
+blocks: no autograd ``Tensor`` wrapping, no graph construction, and a
 preallocated per-batch-size workspace reused across requests with ``out=``
 matmuls, so neither allocation nor Python-level tensor machinery sits in the
 per-step loop.

@@ -228,9 +228,9 @@ class ForecastService:
         """Hot-swap the frozen graph to ``index_set``; returns the new generation.
 
         Re-runs the cold-load freeze path (slim adjacency over the model's
-        node embeddings restricted to ``index_set``, degree scales,
-        ``prepare_weights()`` into a fresh
-        :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel`) and
+        node embeddings restricted to ``index_set``, degree scales, and a
+        fresh :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel`
+        that snapshots the cells' hop weights) and
         publishes the result as one atomic state swap.  The output of the
         new generation is bit-identical to a cold-started service loaded
         with the same index set.  In-flight :meth:`predict` calls that

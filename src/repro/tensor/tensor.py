@@ -80,8 +80,9 @@ class Tensor:
         Anything convertible to a NumPy array (nested lists, scalars, arrays,
         another :class:`Tensor`).
     requires_grad:
-        When ``True`` the tensor participates in the autograd graph and its
-        ``grad`` attribute is populated by :meth:`backward`.
+        When ``True`` the tensor participates in the autograd graph and, if
+        it is a leaf (not the result of an operation), its ``grad``
+        attribute is populated by :meth:`backward`.
     name:
         Optional human-readable label used in ``repr`` and error messages.
     dtype:
@@ -188,8 +189,13 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's ``.grad`` buffer."""
-        if not self.requires_grad:
+        """Add ``grad`` into this leaf tensor's ``.grad`` buffer.
+
+        Results of operations keep no ``.grad``: their gradient only flows
+        through :meth:`backward`, and a retained copy per graph node doubled
+        the peak memory of a training step.
+        """
+        if not self.requires_grad or self._backward is not None:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:

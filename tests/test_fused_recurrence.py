@@ -1,18 +1,19 @@
-"""Equivalence and migration suite for the fused recurrent hot path.
+"""The SAGDFN recurrence (Eq. 9–10) against an independent NumPy oracle.
 
-Three implementations of the encoder–decoder recurrence must agree:
+Two implementations of the encoder–decoder recurrence exist:
 
-* ``SAGDFNEncoderDecoder.forward`` — the fused autograd path (gate fusion,
-  shared diffusion states, input-side precompute, stacked-weight gemms);
-* ``SAGDFNEncoderDecoder.forward_reference`` — the historical per-gate
-  concat loop (the seed implementation's math);
+* ``SAGDFNEncoderDecoder.forward`` — the autograd path, one
+  :class:`~repro.core.gconv.OneStepFastGConvCell` step per layer and time
+  step (training and ``use_kernel=False`` serving);
 * :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` — the raw
   ndarray no-grad serving kernel behind ``ForecastService``.
 
-The fused/kernel paths only reorder BLAS reductions, so in float64 they
-match the reference to ≤ 1e-10 relative (the PR 1 equivalence methodology);
-float32 gets a correspondingly looser envelope.  Legacy per-gate checkpoints
-must keep loading bit-exactly through ``_upgrade_state_dict``.
+Both are checked against ``_oracle_cell_step`` / ``_oracle_forecast`` below,
+a plain-NumPy transcription of Eq. 9–10 that reads only the cells' hop
+weights.  The paths only reorder BLAS reductions, so in float64 they agree
+to ≤ 1e-10 relative; float32 gets a correspondingly looser envelope.
+Legacy per-gate checkpoints must keep loading bit-exactly through
+``_upgrade_state_dict``.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.core import SAGDFN, SAGDFNConfig, OneStepFastGConvCell
 from repro.core.encoder_decoder import SAGDFNEncoderDecoder
 from repro.core.serving_kernel import FrozenRecurrenceKernel
 from repro.serve import ForecastService
-from repro.tensor import Tensor, default_dtype, no_grad
+from repro.tensor import Tensor, check_gradients, concat, default_dtype, no_grad
 
 F64_REL = 1e-10
 F32_REL = 5e-5
@@ -32,14 +33,17 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-30))
 
 
-def _model(num_layers=1, chunk_size=None, seed=0, teacher_forcing=0.0):
+def _model(num_layers=1, chunk_size=None, seed=0, teacher_forcing=0.0,
+           diffusion_steps=2, dense=False):
     config = SAGDFNConfig(
         num_nodes=22, history=4, horizon=3, num_significant=6, top_k=4,
         hidden_size=8, num_heads=2, ffn_hidden=6, seed=seed,
         num_layers=num_layers, chunk_size=chunk_size,
-        teacher_forcing=teacher_forcing,
+        teacher_forcing=teacher_forcing, diffusion_steps=diffusion_steps,
+        use_predefined_graph=dense,
     )
-    model = SAGDFN(config)
+    predefined = np.random.default_rng(seed).random((22, 22)) if dense else None
+    model = SAGDFN(config, predefined_adjacency=predefined)
     model.refresh_graph(10**6)  # past convergence: frozen index set
     return model
 
@@ -49,81 +53,211 @@ def rng():
     return np.random.default_rng(7)
 
 
-class TestFusedEquivalence:
+# ---------------------------------------------------------------------- #
+# NumPy oracle of Eq. 9–10
+# ---------------------------------------------------------------------- #
+def _oracle_graph_conv(x, adjacency, index_set, weights, bias):
+    """Eq. 9: ``Σ_j S^j(x) W_j + b`` with ``S(x) = (D + I)^{-1}(A x_I + x)``.
+
+    ``index_set=None`` means ``adjacency`` is a dense ``(N, N)`` support.
+    """
+    scale = 1.0 / (adjacency.sum(axis=-1, keepdims=True) + 1.0)
+    state = x
+    output = state @ weights[0]
+    for weight in weights[1:]:
+        neighbours = state if index_set is None else state[..., index_set, :]
+        state = (adjacency @ neighbours + state) * scale
+        output = output + state @ weight
+    return output + bias
+
+
+def _oracle_cell_step(cell, x, hidden, adjacency, index_set):
+    """Eq. 10, one GRU step whose matmuls are the graph convolution of Eq. 9.
+
+    r = σ(Θ_r ⋆ [X, H] + b_r),  u = σ(Θ_u ⋆ [X, H] + b_u),
+    C = tanh(Θ_C ⋆ [X, r ⊙ H] + b_C),  H' = u ⊙ H + (1 − u) ⊙ C,
+    and the one-step prediction X̂ = H' W_x.  The reset and update gates
+    are the first and second ``hidden``-wide column blocks of ``cell.gates``.
+    """
+    width = hidden.shape[-1]
+    gate_weights = [w.data.astype(np.float64) for w in cell.gates.hop_weights]
+    gate_bias = cell.gates.bias.data.astype(np.float64)
+    cand_weights = [w.data.astype(np.float64) for w in cell.candidate.hop_weights]
+    cand_bias = cell.candidate.bias.data.astype(np.float64)
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    joint = np.concatenate([x, hidden], axis=-1)
+    reset = sigmoid(_oracle_graph_conv(
+        joint, adjacency, index_set, [w[:, :width] for w in gate_weights], gate_bias[:width]
+    ))
+    update = sigmoid(_oracle_graph_conv(
+        joint, adjacency, index_set, [w[:, width:] for w in gate_weights], gate_bias[width:]
+    ))
+    candidate = np.tanh(_oracle_graph_conv(
+        np.concatenate([x, reset * hidden], axis=-1), adjacency, index_set,
+        cand_weights, cand_bias,
+    ))
+    new_hidden = update * hidden + (1.0 - update) * candidate
+    return new_hidden, new_hidden @ cell.projection.data.astype(np.float64)
+
+
+def _oracle_forecast(forecaster, history, adjacency, index_set, targets=None):
+    """Algorithm 2, lines 8–12: encode ``history``, then decode ``horizon`` steps.
+
+    The decoder starts from the last observation's target channels and feeds
+    back its own prediction, or ``targets[:, step]`` when given (teacher
+    forcing on every step).
+    """
+    batch, steps, num_nodes, _ = history.shape
+    hiddens = [np.zeros((batch, num_nodes, forecaster.hidden_dim))
+               for _ in forecaster.encoder_cells]
+
+    def step_through(cells, x):
+        for layer, cell in enumerate(cells):
+            hiddens[layer], prediction = _oracle_cell_step(
+                cell, x, hiddens[layer], adjacency, index_set
+            )
+            x = hiddens[layer]
+        return prediction
+
+    for t in range(steps):
+        step_through(forecaster.encoder_cells, history[:, t])
+    decoder_input = history[:, -1, :, : forecaster.output_dim]
+    predictions = []
+    for step in range(forecaster.horizon):
+        prediction = step_through(forecaster.decoder_cells, decoder_input)
+        predictions.append(prediction)
+        decoder_input = prediction if targets is None else targets[:, step]
+    return np.stack(predictions, axis=1)
+
+
+def _model_graph(model):
+    """The model's current ``(adjacency, index_set)`` as plain arrays."""
+    index_set = None if model.config.use_predefined_graph else model.index_set
+    return model.slim_adjacency().data.astype(np.float64), index_set
+
+
+def _cell_graph(rng, num_nodes, dense):
+    if dense:
+        return rng.random((num_nodes, num_nodes)), None
+    return rng.random((num_nodes, 3)), np.array([0, 4, 7])
+
+
+class TestRecurrenceOracle:
+    @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_cell_matches_oracle(self, rng, dense, diffusion_steps):
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=5,
+                                    diffusion_steps=diffusion_steps, seed=1)
+        x = rng.normal(size=(2, 9, 2))
+        hidden = rng.normal(size=(2, 9, 5))
+        adjacency, index_set = _cell_graph(rng, 9, dense)
+        new_hidden, prediction = cell(Tensor(x), Tensor(hidden), Tensor(adjacency), index_set)
+        want_hidden, want_prediction = _oracle_cell_step(cell, x, hidden, adjacency, index_set)
+        assert _max_rel(new_hidden.data, want_hidden) <= F64_REL
+        assert _max_rel(prediction.data, want_prediction) <= F64_REL
+
     @pytest.mark.parametrize("num_layers", [1, 2])
-    @pytest.mark.parametrize("dtype,rel", [("float64", F64_REL), ("float32", F32_REL)])
-    def test_fused_matches_reference(self, rng, num_layers, dtype, rel):
-        with default_dtype(dtype):
+    @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_model_matches_oracle(self, rng, dense, diffusion_steps, num_layers):
+        model = _model(num_layers=num_layers, diffusion_steps=diffusion_steps, dense=dense)
+        model.eval()
+        x = rng.normal(size=(3, 4, 22, 2))
+        with no_grad():
+            forecast = model(Tensor(x)).data
+        adjacency, index_set = _model_graph(model)
+        expected = _oracle_forecast(model.forecaster, x, adjacency, index_set)
+        assert _max_rel(forecast, expected) <= F64_REL
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_float32_model_matches_oracle(self, rng, num_layers):
+        with default_dtype("float32"):
             model = _model(num_layers=num_layers)
             model.eval()
-            x = Tensor(rng.normal(size=(3, 4, 22, 2)))
+            x = rng.normal(size=(3, 4, 22, 2))
             with no_grad():
-                fused = model(x).data
-                reference = model.forward_reference(x).data
-        assert fused.dtype == reference.dtype
-        assert _max_rel(fused, reference) <= rel
+                forecast = model(Tensor(x)).data
+            adjacency, index_set = _model_graph(model)
+        assert forecast.dtype == np.float32
+        expected = _oracle_forecast(model.forecaster, x, adjacency, index_set)
+        assert _max_rel(forecast, expected) <= F32_REL
 
-    @pytest.mark.parametrize("chunk_size", [None, 5])
-    def test_node_chunked_fused_matches_reference(self, rng, chunk_size):
-        model = _model(chunk_size=chunk_size)
-        model.eval()
-        x = Tensor(rng.normal(size=(2, 4, 22, 2)))
-        with no_grad():
-            fused = model(x).data
-            reference = model.forward_reference(x).data
-        assert _max_rel(fused, reference) <= F64_REL
-
-    def test_teacher_forcing_paths_agree(self, rng):
-        """With identical RNG state both paths make the same curriculum draws."""
+    def test_teacher_forcing_feeds_targets(self, rng):
+        """With teacher_forcing=1 every decoder step consumes the ground truth."""
         model = _model(teacher_forcing=1.0)
         model.train()
-        x = Tensor(rng.normal(size=(2, 4, 22, 2)))
-        targets = Tensor(rng.normal(size=(2, 3, 22, 1)))
-        state = model.forecaster._rng.bit_generator.state
-        fused = model(x, targets=targets).data
-        model.forecaster._rng.bit_generator.state = state
-        reference = model.forward_reference(x, targets=targets).data
-        assert _max_rel(fused, reference) <= F64_REL
+        x = rng.normal(size=(2, 4, 22, 2))
+        targets = rng.normal(size=(2, 3, 22, 1))
+        forced = model(Tensor(x), targets=Tensor(targets)).data
+        adjacency, index_set = _model_graph(model)
+        expected = _oracle_forecast(model.forecaster, x, adjacency, index_set, targets)
+        assert _max_rel(forced, expected) <= F64_REL
+        free = _oracle_forecast(model.forecaster, x, adjacency, index_set)
+        assert _max_rel(forced, free) > F64_REL
 
-    def test_gradients_flow_through_fused_path(self, rng):
+    @pytest.mark.parametrize("chunk_size", [None, 5])
+    def test_node_chunked_matches_unchunked(self, rng, chunk_size):
+        x = Tensor(rng.normal(size=(2, 4, 22, 2)))
+        chunked = _model(chunk_size=chunk_size)
+        plain = _model()
+        for model in (chunked, plain):
+            model.eval()
+        with no_grad():
+            assert _max_rel(chunked(x).data, plain(x).data) <= F64_REL
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_cell_gradients_match_finite_differences(self, rng, dense):
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=3, diffusion_steps=3, seed=2)
+        adjacency, index_set = _cell_graph(rng, 8, dense)
+        x = Tensor(rng.normal(size=(2, 8, 2)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(2, 8, 3)), requires_grad=True)
+        adjacency = Tensor(adjacency, requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 8, 4)))
+
+        def step(x, hidden, adjacency):
+            new_hidden, prediction = cell(x, hidden, adjacency, index_set)
+            return concat([new_hidden, prediction], axis=-1) * weights
+
+        assert check_gradients(step, [x, hidden, adjacency])
+
+    def test_wrong_input_width_raises(self, rng):
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=5, seed=1)
+        adjacency, index_set = _cell_graph(rng, 9, dense=False)
+        with pytest.raises(ValueError):
+            cell(Tensor(rng.normal(size=(2, 9, 3))), Tensor(rng.normal(size=(2, 9, 5))),
+                 Tensor(adjacency), index_set)
+
+    def test_gradients_reach_every_live_parameter(self, rng):
         model = _model()
         model.train()
         x = Tensor(rng.normal(size=(2, 4, 22, 2)))
         model(x).sum().backward()
         # Encoder/lower-layer projections never feed the loss (their
-        # predictions are discarded), exactly as in the per-gate layout.
+        # predictions are discarded).
         dead = {"projection"}
         for name, parameter in model.forecaster.named_parameters():
             if name.split(".")[-1] in dead and "decoder_cells" not in name:
                 continue
             assert parameter.grad is not None, name
 
-    def test_cell_standalone_call_matches_reference(self, rng):
-        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=5, diffusion_steps=3, seed=1)
-        hidden = Tensor(rng.normal(size=(2, 9, 5)))
-        x = Tensor(rng.normal(size=(2, 9, 2)))
-        slim = Tensor(rng.random((9, 3)))
-        index_set = np.array([0, 4, 7])
-        new_hidden, prediction = cell(x, hidden, slim, index_set)
-        ref_hidden, ref_prediction = cell.forward_reference(x, hidden, slim, index_set)
-        assert _max_rel(new_hidden.data, ref_hidden.data) <= F64_REL
-        assert _max_rel(prediction.data, ref_prediction.data) <= F64_REL
-
 
 class TestServingKernel:
     @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_kernel_matches_reference(self, rng, num_layers):
+    def test_kernel_matches_module_forward(self, rng, num_layers):
         model = _model(num_layers=num_layers)
         service = ForecastService(model)
         assert service._kernel is not None
         x = rng.normal(size=(3, 4, 22, 2))
         kernel_out = service.predict(x)
         with no_grad():
-            reference = model.forecaster.forward_reference(
+            module = model.forecaster(
                 Tensor(x), service._adjacency_tensor, service.frozen.index_set,
                 degree_scale=service._degree_scale_tensor,
             ).data
-        assert _max_rel(kernel_out, reference) <= F64_REL
+        assert _max_rel(kernel_out, module) <= F64_REL
 
     def test_kernel_matches_module_forward_float32(self, rng):
         with default_dtype("float32"):
@@ -160,10 +294,10 @@ class TestServingKernel:
         x = rng.normal(size=(2, 4, 10, 2))
         forecaster.eval()
         with no_grad():
-            reference = forecaster.forward_reference(
+            module = forecaster(
                 Tensor(x), Tensor(dense), None, degree_scale=Tensor(scale)
             ).data
-        assert _max_rel(kernel(x), reference) <= F64_REL
+        assert _max_rel(kernel(x), module) <= F64_REL
 
     def test_kernel_validates_shapes(self, rng):
         service = ForecastService(_model())

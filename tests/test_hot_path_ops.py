@@ -374,18 +374,18 @@ class TestFromCheckpointKnobs:
 class TestServedForecastParity:
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
-    def test_kernel_matches_reference(self, rng, diffusion_steps, batch):
+    def test_kernel_matches_module_forward(self, rng, diffusion_steps, batch):
         model = _tiny_model(diffusion_steps=diffusion_steps)
         service = ForecastService(model)
         assert service._kernel is not None
         x = rng.normal(size=(batch, 3, 10, 2))
         served = service.predict(x)
         with no_grad():
-            reference = model.forecaster.forward_reference(
+            module = model.forecaster(
                 Tensor(x), service._adjacency_tensor, service.frozen.index_set,
                 degree_scale=service._degree_scale_tensor,
             ).data
-        assert _max_rel(served, reference) <= F64_REL
+        assert _max_rel(served, module) <= F64_REL
 
     @pytest.mark.parametrize("use_kernel", [True, False], ids=["kernel", "module"])
     def test_use_kernel_picks_the_serving_path(self, tmp_path, rng, use_kernel):

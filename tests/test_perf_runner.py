@@ -177,19 +177,16 @@ class TestRecurrenceSection:
     def test_recurrence_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
         recurrence = report["recurrence"]
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
         assert recurrence["history"] > 0 and recurrence["horizon"] > 0
         (entry,) = recurrence["results"]
         assert entry["num_nodes"] == 24
         assert entry["steps"] == recurrence["history"] + recurrence["horizon"]
-        for key in ("reference_ms", "fused_ms", "kernel_ms",
-                    "train_fused_ms", "train_reference_ms"):
+        for key in ("forward_ms", "kernel_ms", "train_ms", "per_step_kernel_ms"):
             assert entry[key] > 0, key
-        for key in ("fused_speedup", "kernel_speedup", "train_speedup"):
-            assert entry[key] > 0, key
-        # the fast paths must sit inside the documented equivalence envelope
-        assert entry["max_rel_diff_fused"] <= 5e-5   # float32 bench dtype
-        assert entry["max_rel_diff_kernel"] <= 5e-5
+        assert entry["kernel_speedup"] == entry["forward_ms"] / entry["kernel_ms"]
+        # the kernel must sit inside the documented equivalence envelope
+        assert entry["max_rel_diff_kernel"] <= 5e-5  # float32 bench dtype
         batch_sizes = [e["batch_size"] for e in recurrence["serve_throughput"]]
         assert batch_sizes == [1, 8, 32]
         assert recurrence["throughput_batch8_over_batch1"] > 0
@@ -234,6 +231,19 @@ class TestRecurrenceSection:
                     "--output", str(tmp_path / "r.json"),
                 ]
             )
+
+    def test_recurrence_validator_rejects_missing_keys(self, run_perf):
+        entry = {"num_nodes": 24, "dtype": "float32", "steps": 12,
+                 "forward_ms": 2.0, "kernel_ms": 1.0, "train_ms": 5.0,
+                 "kernel_speedup": 2.0, "per_step_kernel_ms": 0.1,
+                 "max_rel_diff_kernel": 1e-7}
+        good = {"history": 6, "horizon": 6, "results": [entry],
+                "serve_throughput": [], "throughput_batch8_over_batch1": None}
+        run_perf.validate_recurrence(good)  # must not raise
+        legacy = {key: value for key, value in entry.items() if key != "forward_ms"}
+        legacy.update(reference_ms=3.0, fused_ms=2.0)  # the schema-v9 layout
+        with pytest.raises(ValueError, match="forward_ms"):
+            run_perf.validate_recurrence(dict(good, results=[legacy]))
 
     def test_scaling_and_recurrence_only_are_exclusive(self, run_perf, tmp_path):
         with pytest.raises(SystemExit):
@@ -421,8 +431,14 @@ class TestFaultsSection:
         for name in ("baseline", "faulted"):
             entry = faults[name]
             assert entry["unresolved"] == 0  # nothing may ever hang
-            assert entry["throughput_rps"] > 0
+            assert entry["elapsed_s"] > 0
+            # goodput counts successful requests only, never typed errors
+            assert entry["goodput_rps"] == entry["ok"] / entry["elapsed_s"]
         assert faults["baseline"]["typed_errors"] == 0
+        assert faults["baseline"]["goodput_rps"] > 0
+        assert faults["goodput_retention"] == (
+            faults["faulted"]["goodput_rps"] / faults["baseline"]["goodput_rps"]
+        )
         total = faults["faulted"]["ok"] + faults["faulted"]["typed_errors"]
         assert total == faults["requests"]
         assert faults["pool_restored"] is True
@@ -478,10 +494,12 @@ class TestFaultsSection:
             "plan": {"workers": 2, "seed": 0, "horizon": 4, "events": 2,
                      "by_kind": {"kill": 2}},
             "baseline": {"ok": 16, "typed_errors": 0, "unresolved": 0,
-                         "throughput_rps": 1.0, "latency_p95_ms": 1.0},
+                         "elapsed_s": 1.0, "goodput_rps": 16.0,
+                         "latency_p95_ms": 1.0},
             "faulted": {"ok": 10, "typed_errors": 6, "unresolved": 0,
-                        "throughput_rps": 1.0, "latency_p95_ms": 1.0},
-            "throughput_retention": 1.0, "recovery_s": 0.5,
+                        "elapsed_s": 1.0, "goodput_rps": 10.0,
+                        "latency_p95_ms": 1.0},
+            "goodput_retention": 0.625, "recovery_s": 0.5,
             "pool_restored": True, "parked_workers": 0,
             "total_restarts": 2, "redispatches": 1,
             "restart_backoff_s": 0.1, "restart_backoff_ceiling_s": 8.0,

@@ -177,6 +177,14 @@ class TestGraphMechanics:
         (a * 2.0).backward()
         assert a.grad[0] == pytest.approx(4.0)
 
+    def test_only_leaves_keep_grad(self):
+        a = Tensor([2.0], requires_grad=True)
+        hidden = a * 3.0
+        out = hidden * hidden
+        out.backward()
+        assert a.grad[0] == pytest.approx(2 * 3.0 * 6.0)
+        assert hidden.grad is None and out.grad is None
+
     def test_zero_grad_resets(self):
         a = Tensor([1.0], requires_grad=True)
         (a * 3.0).backward()
