@@ -3,9 +3,8 @@
 Times the three costs that dominate SAGDFN training at Table VI/VII scales
 (N = 200 / 2000 / 10000 nodes):
 
-* ``attention`` — the sparse spatial multi-head attention forward, both the
-  vectorised batched-matmul path (:meth:`forward`) and the seed's per-head
-  loop (:meth:`forward_looped`), at float32 and float64;
+* ``attention`` — the sparse spatial multi-head attention forward (the
+  vectorised, tiled batched-matmul path) at float32 and float64;
 * ``gconv`` — one :class:`FastGraphConv` forward over the slim adjacency;
 * ``train_step`` — one full SAGDFN forward + backward + optimiser step;
 * ``serve`` — frozen-graph :class:`~repro.serve.ForecastService` request
@@ -54,11 +53,6 @@ root) so subsequent PRs have a perf trajectory to compare against::
     PYTHONPATH=src python benchmarks/perf/run_perf.py --sizes 200 2000 10000
     PYTHONPATH=src python benchmarks/perf/run_perf.py --scaling-only \\
         --scaling-sizes 2000 --assert-scaling-peak-mb 256             # large-N smoke
-
-The headline ``attention_speedup_vs_seed`` compares the vectorised kernel
-under the engine's float32 policy against the seed per-head loop at the
-seed's pinned float64 — i.e. the combined effect of this PR's two hot-path
-changes.  Per-dtype numbers are also recorded for apples-to-apples reading.
 """
 
 from __future__ import annotations
@@ -89,7 +83,7 @@ from repro.optim import Adam, clip_grad_norm
 from repro.serve import ForecastService
 from repro.tensor import Tensor, default_dtype, no_grad
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 DEFAULT_SIZES = (200, 2000)
 SCALING_SIZES = (500, 2000, 5000, 10000)
 SERVE_BATCH_SIZES = (1, 8, 32)
@@ -132,8 +126,7 @@ def _time(fn, repeats: int, warmup: int = 1) -> float:
 
 
 def bench_attention(num_nodes: int, m: int, heads: int, embedding_dim: int,
-                    ffn_hidden: int, repeats: int, dtype: str,
-                    include_loop: bool) -> dict[str, float]:
+                    ffn_hidden: int, repeats: int, dtype: str) -> float:
     with default_dtype(dtype):
         rng = np.random.default_rng(0)
         attention = SparseSpatialMultiHeadAttention(
@@ -142,16 +135,7 @@ def bench_attention(num_nodes: int, m: int, heads: int, embedding_dim: int,
         embeddings = Parameter(rng.normal(size=(num_nodes, embedding_dim)), name="embeddings")
         index_set = rng.choice(num_nodes, size=m, replace=False)
 
-        timings = {
-            "attention_vectorized_ms": _time(
-                lambda: attention(embeddings, index_set), repeats
-            )
-        }
-        if include_loop:
-            timings["attention_loop_ms"] = _time(
-                lambda: attention.forward_looped(embeddings, index_set), repeats
-            )
-        return timings
+        return _time(lambda: attention(embeddings, index_set), repeats)
 
 
 def bench_gconv(num_nodes: int, m: int, hidden: int, repeats: int, dtype: str) -> float:
@@ -910,15 +894,10 @@ def run(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats,
                 "num_nodes": int(num_nodes),
                 "num_significant": int(m_eff),
                 "dtype": dtype,
+                "attention_vectorized_ms": bench_attention(
+                    num_nodes, m_eff, heads, embedding_dim, ffn_hidden, repeats, dtype
+                ),
             }
-            entry.update(
-                bench_attention(num_nodes, m_eff, heads, embedding_dim, ffn_hidden,
-                                repeats, dtype, include_loop=True)
-            )
-            if "attention_loop_ms" in entry:
-                entry["attention_speedup"] = (
-                    entry["attention_loop_ms"] / entry["attention_vectorized_ms"]
-                )
             entry["gconv_ms"] = bench_gconv(num_nodes, m_eff, hidden, repeats, dtype)
             if num_nodes <= train_step_max_n:
                 entry["train_step_ms"] = bench_train_step(
@@ -928,24 +907,10 @@ def run(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats,
             results.append(entry)
             print(
                 f"N={num_nodes:>6} M={m_eff:>3} {dtype}: "
-                f"attention vectorized {entry['attention_vectorized_ms']:.2f} ms, "
-                f"loop {entry.get('attention_loop_ms', float('nan')):.2f} ms "
-                f"({entry.get('attention_speedup', float('nan')):.2f}x), "
+                f"attention {entry['attention_vectorized_ms']:.2f} ms, "
                 f"gconv {entry['gconv_ms']:.2f} ms, "
                 f"train step {entry.get('train_step_ms', float('nan')):.2f} ms",
                 flush=True,
-            )
-
-    # Headline: vectorised kernel under the float32 policy vs the seed's
-    # float64 per-head loop, per node count.
-    headline = {}
-    by_key = {(e["num_nodes"], e["dtype"]): e for e in results}
-    for num_nodes in sizes:
-        seed_entry = by_key.get((num_nodes, "float64"))
-        new_entry = by_key.get((num_nodes, "float32"))
-        if seed_entry and new_entry and "attention_loop_ms" in seed_entry:
-            headline[str(num_nodes)] = (
-                seed_entry["attention_loop_ms"] / new_entry["attention_vectorized_ms"]
             )
 
     # Serving hot path: frozen-graph latency/throughput on the largest
@@ -994,7 +959,6 @@ def run(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats,
             "repeats": int(repeats),
             "numpy": np.__version__,
         },
-        "attention_speedup_vs_seed": headline,
         "serve": serve,
         "scaling": scaling,
         "recurrence": recurrence,
@@ -1116,8 +1080,7 @@ def validate_faults(section: dict) -> None:
 def validate_schema(report: dict) -> None:
     """Raise ``ValueError`` if ``report`` is not a valid benchmark report."""
     for key in ("benchmark", "schema_version", "config", "results",
-                "attention_speedup_vs_seed", "serve", "scaling", "recurrence",
-                "cluster", "online", "faults"):
+                "serve", "scaling", "recurrence", "cluster", "online", "faults"):
         if key not in report:
             raise ValueError(f"missing top-level key {key!r}")
     if not isinstance(report["results"], list) or not report["results"]:

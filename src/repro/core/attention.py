@@ -9,11 +9,10 @@ mixes the heads with a linear map ``W_a`` into the slim dense adjacency
 
 Implementation notes (the large-graph hot path)
 -----------------------------------------------
-The reference formulation feeds the materialised pair tensor
-``[e_i ‖ e_j] ∈ R^{N×M×2d}`` through each head's FFN in a Python loop.  This
-module instead holds the ``P`` scoring FFNs as *stacked* weight tensors
-(``head_w1 ∈ R^{P×2d×h}`` …) and exploits the linearity of the first layer
-over the concatenation:
+Each head's FFN scores the pair ``[e_i ‖ e_j] ∈ R^{2d}``.  The module holds
+the ``P`` scoring FFNs as *stacked* weight tensors (``head_w1 ∈ R^{P×2d×h}``,
+``head_b1``, ``head_w2``, ``head_b2``) and exploits the linearity of the
+first layer over the concatenation:
 
 .. math::
 
@@ -29,9 +28,7 @@ axis (flash-attention style): each tile's hidden activations live in a
 cache-sized scratch buffer and only the ``(P, N, M, 2)`` raw scores are ever
 materialised.  The backward pass recomputes each tile's activations instead
 of storing them, trading a second cheap pass for an ``O(N·M·h)`` → ``O(N·M)``
-reduction in autograd memory.  The mathematically equivalent per-head loop is
-retained as :meth:`forward_looped` for equivalence tests and as the benchmark
-baseline.
+reduction in autograd memory.
 
 On top of the scratch tiling, the ``chunk_size`` / ``memory_budget_mb``
 knobs (threaded from :class:`~repro.core.config.SAGDFNConfig`) enable the
@@ -42,9 +39,6 @@ row-independent along the node axis, so the tiled output is bit-identical to
 the single-pass one at any block size; under ``no_grad`` (frozen-graph
 serving, the scaling benchmark) peak memory is ``O(chunk·M)`` scratch plus
 the ``(N, M)`` result itself.
-
-Checkpoints from the per-head era (keys ``heads.{p}.input_layer.weight`` …)
-are migrated transparently by :meth:`_upgrade_state_dict`.
 """
 
 from __future__ import annotations
@@ -233,10 +227,9 @@ class SparseSpatialMultiHeadAttention(Module):
         # in the chunked and unchunked modes.  Tests may shrink it to
         # exercise multi-tile paths on small graphs.
         self._tile_bytes = _TILE_BYTES
-        # Stacked scoring FFNs.  Per-head slices are drawn with the same
-        # seeds the per-head FeedForward modules used (seed + 10p for layer
-        # one, +1 for layer two), so fresh models initialise identically to
-        # the reference implementation.
+        # Stacked scoring FFNs.  Head p draws its first layer from seed
+        # ``base + 10p`` and its second from ``base + 10p + 1``; the golden
+        # pins rest on these draws.
         out = self._HEAD_OUT
         w1 = np.stack(
             [
@@ -255,47 +248,6 @@ class SparseSpatialMultiHeadAttention(Module):
         self.head_w2 = Parameter(w2, name="head_w2")  # (P, h, 2)
         self.head_b2 = Parameter(init.zeros((num_heads, out)), name="head_b2")
         self.mixer = Linear(out * num_heads, 1, seed=base + 997)
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint migration
-    # ------------------------------------------------------------------ #
-    def _upgrade_state_dict(
-        self, prefix: str, state: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Stack legacy per-head FFN keys into the batched parameters.
-
-        Pre-vectorisation checkpoints stored each scoring FFN as a list
-        entry: ``{prefix}heads.{p}.input_layer.weight`` and so on.  They are
-        rewritten to ``{prefix}head_w1`` … so old checkpoints keep loading.
-        A checkpoint whose head count does not match ``num_heads`` is left
-        untouched, so :meth:`Module.load_state_dict` reports the usual
-        structured missing/unexpected-key mismatch instead of a bare error.
-        """
-        legacy_keys = [
-            f"{prefix}heads.{p}.{layer}.{kind}"
-            for p in range(self.num_heads)
-            for layer in ("input_layer", "output_layer")
-            for kind in ("weight", "bias")
-        ]
-        if f"{prefix}heads.0.input_layer.weight" not in state:
-            return state
-        if not all(key in state for key in legacy_keys) or (
-            f"{prefix}heads.{self.num_heads}.input_layer.weight" in state
-        ):
-            return state  # head-count mismatch: fall through to key matching
-        state = dict(state)
-        w1, b1, w2, b2 = [], [], [], []
-        for p in range(self.num_heads):
-            head = f"{prefix}heads.{p}."
-            w1.append(state.pop(f"{head}input_layer.weight"))
-            b1.append(state.pop(f"{head}input_layer.bias"))
-            w2.append(state.pop(f"{head}output_layer.weight"))
-            b2.append(state.pop(f"{head}output_layer.bias"))
-        state[f"{prefix}head_w1"] = np.stack(w1)
-        state[f"{prefix}head_b1"] = np.stack(b1)
-        state[f"{prefix}head_w2"] = np.stack(w2)
-        state[f"{prefix}head_b2"] = np.stack(b2)
-        return state
 
     # ------------------------------------------------------------------ #
     # Forward passes
@@ -359,9 +311,9 @@ class SparseSpatialMultiHeadAttention(Module):
         # (the α-entmax solvers are row-local, hence block-size independent).
         normalised = alpha_entmax(raw, alpha=self.alpha, axis=2)
 
-        # Eq. 5–6: interleave channels head-by-head — (n_block, M, 2P) with
-        # the same [head0-ch0, head0-ch1, head1-ch0, …] layout the per-head
-        # concat produced — and mix into one correlation strength per pair.
+        # Eq. 5–6: interleave channels head-by-head — (n_block, M, 2P) in the
+        # [head0-ch0, head0-ch1, head1-ch0, …] layout the mixer's rows follow —
+        # and mix into one correlation strength per pair.
         # The mixer matmul runs per canonical tile so its call shapes match
         # between the tiled and single-pass modes.
         multi_head = normalised.transpose(1, 2, 0, 3).reshape(
@@ -415,38 +367,3 @@ class SparseSpatialMultiHeadAttention(Module):
             ],
             axis=0,
         )
-
-    def forward_looped(self, embeddings: Tensor, index_set: np.ndarray) -> Tensor:
-        """Reference per-head scoring loop (the pre-vectorisation hot path).
-
-        Mathematically equivalent to :meth:`forward` — it materialises the
-        ``(N, M, 2d)`` pair tensor and runs one FFN + α-entmax per head, as
-        the seed implementation did.  Kept for equivalence tests and as the
-        baseline the ``benchmarks/perf`` runner measures speedups against.
-        """
-        index_set = np.asarray(index_set, dtype=np.int64)
-        num_nodes = embeddings.shape[0]
-        num_significant = index_set.shape[0]
-        neighbour_embeddings = embeddings[index_set]  # (M, d)
-
-        if not self.use_pairwise_attention:
-            scores = embeddings.matmul(neighbour_embeddings.transpose())  # (N, M)
-            return alpha_entmax(scores, alpha=self.alpha, axis=-1)
-
-        expanded_nodes = embeddings.unsqueeze(1).broadcast_to(
-            (num_nodes, num_significant, self.embedding_dim)
-        )
-        expanded_neighbours = neighbour_embeddings.unsqueeze(0).broadcast_to(
-            (num_nodes, num_significant, self.embedding_dim)
-        )
-        pairs = concat([expanded_nodes, expanded_neighbours], axis=-1)  # (N, M, 2d)
-
-        head_outputs = []
-        for p in range(self.num_heads):
-            hidden = (pairs.matmul(self.head_w1[p]) + self.head_b1[p]).relu()
-            raw = hidden.matmul(self.head_w2[p]) + self.head_b2[p]  # (N, M, 2)
-            head_outputs.append(alpha_entmax(raw, alpha=self.alpha, axis=1))
-        multi_head = concat(head_outputs, axis=-1)  # (N, M, 2P)
-
-        slim_adjacency = self.mixer(multi_head).squeeze(-1)  # (N, M)
-        return slim_adjacency

@@ -178,12 +178,10 @@ class OneStepFastGConvCell(Module):
     :class:`FastGraphConv` over the concatenated ``[x, hidden]`` input with
     ``2·hidden`` output columns (reset in ``[:hidden]``, update in
     ``[hidden:]``) — the two gates consume the same input, so they share a
-    single diffusion-state computation.  ``self.candidate`` keeps the
-    historical layout.  Fresh cells initialise **bit-identically** to the
-    legacy per-gate layout: the fused hop weights are assembled from the
-    exact same seeded draws the separate ``reset_gate`` / ``update_gate``
-    convolutions used, and legacy checkpoints are migrated transparently by
-    :meth:`_upgrade_state_dict`.
+    single diffusion-state computation.  ``self.candidate`` diffuses
+    ``[x, reset · hidden]``.  Each gate hop weight draws its reset columns
+    from seed ``seed`` and its update columns from ``seed + 1``; the golden
+    pins rest on these draws.
     """
 
     def __init__(
@@ -203,9 +201,8 @@ class OneStepFastGConvCell(Module):
         self.output_dim = output_dim
         self.gates = FastGraphConv(combined, 2 * hidden_dim, diffusion_steps, seed=base,
                                    node_chunk_size=node_chunk_size)
-        # Re-draw the fused gate weights from the legacy per-gate streams
-        # (reset from seed ``base``, update from ``base + 1``) so a freshly
-        # constructed cell is bit-identical to the historical layout.
+        # Re-draw the gate weights per gate: reset columns from seed ``base``,
+        # update columns from ``base + 1`` (see the class docstring).
         rng_reset = spawn_rng(base)
         rng_update = spawn_rng(base + 1)
         for hop in self.gates.hop_weights:
@@ -223,45 +220,6 @@ class OneStepFastGConvCell(Module):
         self.projection = Parameter(
             init.xavier_uniform((hidden_dim, output_dim), rng), name="projection"
         )
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint migration
-    # ------------------------------------------------------------------ #
-    def _upgrade_state_dict(
-        self, prefix: str, state: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Fuse legacy per-gate checkpoint keys into the ``gates`` parameters.
-
-        Pre-fusion checkpoints stored the reset and update gates as separate
-        convolutions (``{prefix}reset_gate.hop_weights.{j}`` …).  Their hop
-        weights are concatenated column-wise (reset first) and their biases
-        end-to-end, which is exactly the fused layout — the migration is
-        bit-exact.  ``candidate`` and ``projection`` keys are unchanged.  A
-        checkpoint whose hop count does not match is left untouched so
-        :meth:`~repro.nn.module.Module.load_state_dict` reports the usual
-        structured missing/unexpected-key mismatch.
-        """
-        if f"{prefix}reset_gate.hop_weights.0" not in state:
-            return state
-        hops = self.gates.diffusion_steps
-        legacy_keys = [
-            f"{prefix}{gate}.{kind}"
-            for gate in ("reset_gate", "update_gate")
-            for kind in [f"hop_weights.{j}" for j in range(hops)] + ["bias"]
-        ]
-        if not all(key in state for key in legacy_keys) or (
-            f"{prefix}reset_gate.hop_weights.{hops}" in state
-        ):
-            return state  # hop-count mismatch: fall through to key matching
-        state = dict(state)
-        for j in range(hops):
-            reset = state.pop(f"{prefix}reset_gate.hop_weights.{j}")
-            update = state.pop(f"{prefix}update_gate.hop_weights.{j}")
-            state[f"{prefix}gates.hop_weights.{j}"] = np.concatenate([reset, update], axis=1)
-        reset_bias = state.pop(f"{prefix}reset_gate.bias")
-        update_bias = state.pop(f"{prefix}update_gate.bias")
-        state[f"{prefix}gates.bias"] = np.concatenate([reset_bias, update_bias])
-        return state
 
     # ------------------------------------------------------------------ #
     # Recurrence

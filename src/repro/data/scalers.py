@@ -1,5 +1,9 @@
 """Feature scalers fit on the training split and applied everywhere.
 
+:class:`StandardScaler` keeps its statistics in streaming form — the
+observation count ``count_`` and the raw sum of squared deviations — so
+``partial_fit`` can extend a fitted (or bundle-rehydrated) scaler exactly.
+
 Transformed arrays follow the engine's precision policy
 (:func:`repro.tensor.get_default_dtype`): statistics are accumulated in
 float64 for numerical robustness, but ``transform`` / ``inverse_transform``
@@ -25,10 +29,8 @@ class StandardScaler:
         self.mean_: float | None = None
         self.std_: float | None = None
         # Streaming provenance: how many observations the statistics summarise
-        # and their raw (unfloored) sum of squared deviations.  ``count_`` is
-        # ``None`` for statistics of unknown provenance (a pre-v3 bundle), in
-        # which case ``partial_fit`` refuses to continue the accumulation.
-        self.count_: int | None = 0
+        # and their raw (unfloored) sum of squared deviations.
+        self.count_: int = 0
         self._m2: float = 0.0
 
     @staticmethod
@@ -75,15 +77,8 @@ class StandardScaler:
         Accumulates mean and variance in float64 via Chan's parallel-variance
         merge, so chunked ``partial_fit`` over a dataset reproduces a single
         ``fit`` to ~1e-15 relative.  ``sample_mask`` works as in :meth:`fit`;
-        an all-missing batch is a no-op.  Statistics rehydrated from a pre-v3
-        bundle carry no sample count, so they cannot be extended — that raises
-        ``RuntimeError`` rather than silently mis-weighting the update.
+        an all-missing batch is a no-op.
         """
-        if self.count_ is None:
-            raise RuntimeError(
-                "scaler statistics lack sample-count provenance (pre-v3 bundle); "
-                "re-save the bundle to enable partial_fit"
-            )
         values = self._observed(values, sample_mask)
         if values.size == 0:
             return self

@@ -181,27 +181,12 @@ class Module:
         """Return a copy of every parameter keyed by its dotted name."""
         return {name: parameter.data.copy() for name, parameter in self.named_parameters()}
 
-    def _upgrade_state_dict(
-        self, prefix: str, state: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Hook for migrating legacy checkpoint keys to the current layout.
-
-        Called by :meth:`load_state_dict` for every module in the tree with
-        that module's :meth:`named_modules` prefix.  Subclasses that change
-        their parameterisation override this to rewrite old keys in ``state``
-        (e.g. stacking per-head weights); the default is the identity.
-        """
-        return state
-
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load parameters previously captured by :meth:`state_dict`.
 
-        Legacy checkpoints are transparently upgraded via the per-module
-        :meth:`_upgrade_state_dict` hooks before key matching.
+        The keys must match :meth:`named_parameters` exactly; any missing or
+        unexpected key raises ``KeyError``.
         """
-        state = dict(state)
-        for prefix, module in self.named_modules():
-            state = module._upgrade_state_dict(prefix, state)
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)

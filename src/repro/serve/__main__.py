@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--drift-min-history", type=int, default=None,
                         help="pooled timesteps required before the first drift check")
     online.add_argument("--update-scaler", action="store_true",
-                        help="partial_fit the bundle scaler from the live feed "
-                             "(requires v3 scaler statistics)")
+                        help="partial_fit the bundle scaler from the live feed")
     return parser
 
 
@@ -155,7 +154,7 @@ def _load_windows(args, config: dict) -> np.ndarray:
         raise SystemExit("bundle has no model config; synthetic requests need --input")
     # Scenario-aware request width: endogenous channels, declared exogenous
     # covariates, plus the observation-mask channel of mask-aware models
-    # (pre-scenario bundle configs lack the fields → point/dense width).
+    # (a config that omits the fields gets the point/dense defaults).
     width = _expected_width(config)
     shape = (args.requests, config["history"], config["num_nodes"], width)
     windows = np.random.default_rng(args.seed).normal(size=shape)

@@ -44,7 +44,7 @@ from repro.evaluation.streaming import StreamingMetrics
 
 @dataclass
 class DriftConfig:
-    """Knobs of the online drift monitor (persisted in v3 bundles).
+    """Knobs of the online drift monitor (persisted in serving bundles).
 
     Attributes
     ----------
@@ -459,13 +459,12 @@ class SessionManager:
         single-process service this should be *the service's own scaler*
         so incremental updates propagate to the inverse transform.
     drift:
-        A :class:`DriftConfig` (or its dict form, e.g. from a v3 bundle's
+        A :class:`DriftConfig` (or its dict form, e.g. from a bundle's
         ``drift`` record) enabling the drift monitor; ``None`` disables it.
     update_scaler:
         When ``True``, every push also ``partial_fit``\\ s the shared scaler
         (mask-aware), so normalisation tracks the live feed.  Off by
-        default: a moving scaler trades bit-reproducibility for freshness,
-        and pre-v3 scaler statistics cannot be extended at all.
+        default: a moving scaler trades bit-reproducibility for freshness.
     null_value:
         Missing-value convention of the live accuracy metrics.
     max_sessions:
@@ -511,12 +510,6 @@ class SessionManager:
         self.width = int(self.config.get("input_dim", 1)) + self.exog_dim
         quantiles = self.config.get("quantiles")
         self.quantiles = None if quantiles is None else tuple(float(q) for q in quantiles)
-        if self.update_scaler and scaler is not None and getattr(scaler, "count_", None) is None:
-            raise ValueError(
-                "update_scaler requires scaler statistics with sample-count "
-                "provenance (a v3 bundle); re-save the bundle or pass "
-                "update_scaler=False"
-            )
         if isinstance(drift, dict):
             drift = DriftConfig(**drift)
         self.monitor: DriftMonitor | None = None
@@ -570,7 +563,7 @@ class SessionManager:
         ``workers == 0`` serves through a single-process
         :class:`~repro.serve.ForecastService`; ``workers >= 1`` through a
         :class:`~repro.serve.ServingCluster`.  ``drift`` defaults to the
-        bundle's recorded v3 ``drift`` record (``None`` in older bundles
+        bundle's recorded ``drift`` record (a bundle saved without one
         disables monitoring).
         """
         from repro.utils.checkpoint import load_bundle, rehydrate_scaler

@@ -131,7 +131,7 @@ class ForecastService:
         self.use_kernel = bool(use_kernel)
         self._apply_memory_knobs(model, chunk_size, memory_budget_mb)
         self.config = config if config is not None else self._config_dict(model)
-        # Scenario fields (absent in pre-scenario configs → point/dense).
+        # Scenario fields (a config that omits them → point/dense).
         quantiles = self.config.get("quantiles") if self.config else None
         self.quantiles = None if quantiles is None else tuple(float(q) for q in quantiles)
         self.mask_input = bool(self.config.get("mask_input", False)) if self.config else False
@@ -363,7 +363,7 @@ class ForecastService:
         """
         bundle = load_bundle(path, verify_digest=verify_digest)
         model = cls._build_model(bundle)
-        scaler = cls._build_scaler(bundle)
+        scaler = rehydrate_scaler(bundle)
         return cls(
             model,
             scaler=scaler,
@@ -374,11 +374,9 @@ class ForecastService:
             use_kernel=use_kernel,
         )
 
-    # Thin aliases kept for callers of the historical private names; the
-    # rehydration itself lives in repro.utils.checkpoint so cluster workers
-    # can rebuild a forecaster without importing the service first.
+    # The rehydration lives in repro.utils.checkpoint so cluster workers can
+    # rebuild a forecaster without importing the service first.
     _build_model = staticmethod(rehydrate_model)
-    _build_scaler = staticmethod(rehydrate_scaler)
 
     # ------------------------------------------------------------------ #
     # Inference

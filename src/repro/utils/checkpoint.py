@@ -17,14 +17,12 @@ Reserved keys are wrapped in double underscores (``__metadata__``,
 :func:`load_checkpoint` skips them, which lets a plain model load the
 parameters out of a bundle archive.
 
-Both loaders route the parameter state through
-:meth:`repro.nn.module.Module.load_state_dict`, so legacy archive layouts
-are migrated transparently by the per-module ``_upgrade_state_dict`` hooks:
-pre-vectorisation per-head attention keys (``attention.heads.{p}.…``) are
-stacked into the batched head parameters, and pre-fusion per-gate recurrence
-keys (``…reset_gate.…`` / ``…update_gate.…``) are concatenated — bit-exactly
-— into the fused ``gates`` convolution of each
-:class:`~repro.core.gconv.OneStepFastGConvCell`.
+This module is the only one that knows the on-disk layout, and the bundle
+format has exactly one version, :data:`BUNDLE_VERSION`.  :func:`load_bundle`
+rejects anything else — another version, a missing payload digest, an
+incomplete scaler record, a SAGDFN bundle without a usable config — with a
+``ValueError`` that says to re-save the bundle.  Parameter keys must match
+the model's current layout exactly (:meth:`Module.load_state_dict`).
 """
 
 from __future__ import annotations
@@ -32,22 +30,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.nn.module import Module
 
-# Version 2 added the scenario record (quantile head, declared exogenous
-# channels, observation-mask input).  Version-1 bundles predate scenarios and
-# load as point-forecast / dense-data models; their config simply lacks the
-# scenario fields, so the dataclass defaults apply.
-# Version 3 added streaming-scaler provenance (observation ``count`` and raw
-# ``m2`` sum of squared deviations, so ``StandardScaler.partial_fit`` can
-# extend a rehydrated scaler exactly) and an optional ``drift`` record — the
-# online-serving drift-monitor configuration.  v1/v2 bundles still load;
-# their scalers simply cannot be extended incrementally.
+# The one bundle format :func:`load_bundle` accepts (contents: see
+# :class:`CheckpointBundle`).
 BUNDLE_VERSION = 3
 
 _METADATA_KEY = "__metadata__"
@@ -56,6 +47,7 @@ _CANDIDATES_KEY = "__sampler_candidates__"
 _INDEX_SET_KEY = "__index_set__"
 _SCHEDULER_KEY = "__scheduler__"
 _DIGEST_KEY = "__digest__"
+_SCALER_KEYS = ("type", "mean", "std", "count", "m2")
 
 # Keys excluded from the SHA-256 payload digest: the digest itself, plus the
 # JSON provenance records (bundle info, metadata, scheduler state).  The
@@ -179,10 +171,10 @@ class CheckpointBundle:
     dtype:
         The floating dtype the parameters were saved under.
     scaler_state:
-        ``{"type", "mean", "std"}`` of the fitted target scaler, or ``None``.
-        Version ≥ 3 bundles additionally record ``count`` (observations the
-        statistics summarise) and ``m2`` (raw sum of squared deviations) so
-        the rehydrated scaler supports exact ``partial_fit`` continuation.
+        ``{"type", "mean", "std", "count", "m2"}`` of the fitted target
+        scaler, or ``None``.  ``count`` (observations the statistics
+        summarise) and ``m2`` (raw sum of squared deviations) let the
+        rehydrated scaler continue exactly with ``partial_fit``.
     sampler_candidates:
         SNS candidate-neighbour matrix ``C`` of shape ``(N, M)``, or ``None``.
     index_set:
@@ -194,19 +186,12 @@ class CheckpointBundle:
         of the same type (``scheduler.load_state_dict``) to resume the
         schedule — epoch counter and current learning rate included — instead
         of restarting it.
-    scenario:
-        ``{"quantiles", "exog_dim", "mask_input"}`` — the forecasting
-        scenario the model was trained for (version ≥ 2 bundles).  Pre-
-        scenario bundles yield the point/dense default
-        ``{"quantiles": None, "exog_dim": 0, "mask_input": False}``; the
-        same fields also live in ``config``, this record just makes them
-        inspectable without rebuilding the model.
     drift:
         Online-serving drift-monitor configuration (the
         :class:`repro.serve.online.DriftConfig` fields) recorded when the
         bundle was written with ``save_bundle(..., drift=...)``, or ``None``.
         ``SessionManager.from_checkpoint`` uses it as the default monitor
-        configuration (version ≥ 3 bundles).
+        configuration.
     metadata:
         Free-form user metadata.
     version:
@@ -221,9 +206,6 @@ class CheckpointBundle:
     sampler_candidates: np.ndarray | None = None
     index_set: np.ndarray | None = None
     scheduler_state: dict | None = None
-    scenario: dict = field(
-        default_factory=lambda: {"quantiles": None, "exog_dim": 0, "mask_input": False}
-    )
     drift: dict | None = None
     metadata: dict = field(default_factory=dict)
     version: int = BUNDLE_VERSION
@@ -259,8 +241,6 @@ def save_bundle(
     config = getattr(model, "config", None)
     config_dict = None
     if config is not None:
-        from dataclasses import asdict, is_dataclass
-
         config_dict = asdict(config) if is_dataclass(config) else dict(vars(config))
 
     scaler_state = None
@@ -271,32 +251,12 @@ def save_bundle(
             "type": type(scaler).__name__,
             "mean": float(scaler.mean_),
             "std": float(scaler.std_),
-        }
-        # Streaming provenance (v3): the observation count and raw sum of
-        # squared deviations let StandardScaler.partial_fit continue the
-        # accumulation exactly after rehydration.
-        count = getattr(scaler, "count_", None)
-        if count is not None:
-            scaler_state["count"] = int(count)
-            scaler_state["m2"] = float(getattr(scaler, "_m2", 0.0))
-
-    scenario = {
-        "quantiles": None,
-        "exog_dim": 0,
-        "mask_input": False,
-    }
-    if config_dict is not None:
-        quantiles = config_dict.get("quantiles")
-        scenario = {
-            "quantiles": None if quantiles is None else [float(q) for q in quantiles],
-            "exog_dim": int(config_dict.get("exog_dim", 0) or 0),
-            "mask_input": bool(config_dict.get("mask_input", False)),
+            "count": int(scaler.count_),
+            "m2": float(scaler._m2),
         }
 
     drift_record = None
     if drift is not None:
-        from dataclasses import asdict, is_dataclass
-
         drift_record = asdict(drift) if is_dataclass(drift) else dict(drift)
 
     bundle_info = {
@@ -305,7 +265,6 @@ def save_bundle(
         "dtype": dtype,
         "config": config_dict,
         "scaler": scaler_state,
-        "scenario": scenario,
         "drift": drift_record,
     }
     payload[_BUNDLE_KEY] = np.array(json.dumps(bundle_info))
@@ -350,15 +309,9 @@ def rehydrate_model(bundle: CheckpointBundle) -> Module:
             f"cannot rehydrate model type {bundle.model_type!r}; "
             "only SAGDFN bundles are currently servable"
         )
-    if not bundle.config:
-        raise ValueError("bundle is missing the model config")
     from repro.core import SAGDFN, SAGDFNConfig
 
-    # Older bundles record the name of an execution backend, a config field
-    # that no longer exists.  Drop exactly that key so they keep loading;
-    # any other unknown key still fails loudly.
-    config = {key: value for key, value in bundle.config.items() if key != "backend"}
-    model = SAGDFN(SAGDFNConfig(**config))
+    model = SAGDFN(SAGDFNConfig(**bundle.config))
     model.to(np.dtype(bundle.dtype))
     if bundle.sampler_candidates is not None:
         model.sampler.candidates = np.asarray(bundle.sampler_candidates, dtype=np.int64)
@@ -380,26 +333,22 @@ def rehydrate_scaler(bundle: CheckpointBundle):
     scaler = StandardScaler()
     scaler.mean_ = float(state["mean"])
     scaler.std_ = float(state["std"])
-    if "count" in state:
-        scaler.count_ = int(state["count"])
-        scaler._m2 = float(state.get("m2", 0.0))
-    else:
-        # Pre-v3 statistics: no sample-count provenance, so partial_fit
-        # cannot extend them (it raises rather than mis-weighting).
-        scaler.count_ = None
+    scaler.count_ = int(state["count"])
+    scaler._m2 = float(state["m2"])
     return scaler
 
 
 def load_bundle(path: str | Path, verify_digest: bool = True) -> CheckpointBundle:
     """Read a serving bundle written by :func:`save_bundle`.
 
-    Raises ``ValueError`` when ``path`` is a plain parameter checkpoint (or
-    any other archive without the ``__bundle__`` record), when the bundle
-    version is newer than this code understands, or when the recorded
-    SHA-256 payload digest does not match the arrays on disk (corruption).
-    ``verify_digest=False`` skips the hash — e.g. for cluster workers whose
-    parent already verified the same file.  Bundles written before the
-    digest existed load without verification.
+    Raises ``ValueError`` when ``path`` is not a serving bundle (e.g. a plain
+    parameter checkpoint), when its format version is not
+    :data:`BUNDLE_VERSION`, when its scaler record is incomplete, when a
+    SAGDFN bundle carries no model config, or when the SHA-256 payload digest
+    is missing or does not match the arrays on disk.  A config key
+    :class:`~repro.core.config.SAGDFNConfig` does not know raises
+    ``TypeError``.  ``verify_digest=False`` skips the digest check — e.g. for
+    cluster workers whose parent already verified the same file.
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -408,7 +357,20 @@ def load_bundle(path: str | Path, verify_digest: bool = True) -> CheckpointBundl
                 f"{path} is not a serving bundle (missing {_BUNDLE_KEY!r}); "
                 "use load_checkpoint for plain parameter checkpoints"
             )
-        if verify_digest and _DIGEST_KEY in archive.files:
+        info = json.loads(str(archive[_BUNDLE_KEY]))
+        version = info.get("version")
+        if version != BUNDLE_VERSION:
+            found = "no format version" if version is None else f"version {version}"
+            raise ValueError(
+                f"{path} records {found}; only bundle version {BUNDLE_VERSION} "
+                "is supported — re-save it with save_bundle"
+            )
+        if verify_digest:
+            if _DIGEST_KEY not in archive.files:
+                raise ValueError(
+                    f"{path} has no payload digest ({_DIGEST_KEY!r}), so its arrays "
+                    "cannot be verified — re-save it with save_bundle"
+                )
             recorded = str(archive[_DIGEST_KEY])
             actual = _payload_digest(
                 {name: archive[name] for name in archive.files
@@ -420,7 +382,6 @@ def load_bundle(path: str | Path, verify_digest: bool = True) -> CheckpointBundl
                     f"(recorded {recorded[:12]}…, got {actual[:12]}…): "
                     "the bundle is corrupt"
                 )
-        info = json.loads(str(archive[_BUNDLE_KEY]))
         metadata = json.loads(str(archive[_METADATA_KEY])) if _METADATA_KEY in archive.files else {}
         state = {name: archive[name] for name in archive.files if not _is_reserved(name)}
         candidates = archive[_CANDIDATES_KEY] if _CANDIDATES_KEY in archive.files else None
@@ -431,27 +392,33 @@ def load_bundle(path: str | Path, verify_digest: bool = True) -> CheckpointBundl
             else None
         )
 
-    version = int(info.get("version", 0))
-    if version > BUNDLE_VERSION:
-        raise ValueError(
-            f"bundle version {version} is newer than the supported {BUNDLE_VERSION}"
-        )
-    scenario = info.get("scenario") or {
-        "quantiles": None,
-        "exog_dim": 0,
-        "mask_input": False,
-    }
+    scaler_state = info.get("scaler")
+    if scaler_state is not None:
+        missing = [key for key in _SCALER_KEYS if key not in scaler_state]
+        if missing:
+            raise ValueError(
+                f"{path} has an incomplete scaler record (missing {missing}) — "
+                "re-save it with save_bundle"
+            )
+    model_type = str(info.get("model_type", ""))
+    config = info.get("config") or {}
+    if model_type == "SAGDFN":
+        if not config:
+            raise ValueError(
+                f"{path} is missing the model config — re-save it with save_bundle"
+            )
+        from repro.core import SAGDFNConfig
+
+        SAGDFNConfig(**config)  # unknown keys raise TypeError, bad values ValueError
     return CheckpointBundle(
         state=state,
-        config=info.get("config") or {},
-        model_type=str(info.get("model_type", "")),
+        config=config,
+        model_type=model_type,
         dtype=str(info.get("dtype", "float64")),
-        scaler_state=info.get("scaler"),
+        scaler_state=scaler_state,
         sampler_candidates=candidates,
         index_set=index_set,
         scheduler_state=scheduler_state,
-        scenario=scenario,
         drift=info.get("drift"),
         metadata=metadata,
-        version=version,
     )

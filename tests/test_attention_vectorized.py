@@ -1,21 +1,47 @@
-"""Equivalence and checkpoint-migration tests for the vectorized attention.
+"""Equivalence and state-dict tests for the vectorized attention.
 
 The vectorized hot path (stacked head weights, tiled fused scoring kernel,
-single α-entmax call) must reproduce the per-head reference loop bit-for-bit
-up to float64 round-off, including gradients, and legacy checkpoints written
-by the per-head implementation must keep loading.
+single α-entmax call) must reproduce the per-head reference loop
+:func:`_looped_attention` up to float64 round-off, including gradients.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import SAGDFN, SAGDFNConfig, SparseSpatialMultiHeadAttention
+from repro.core import SparseSpatialMultiHeadAttention
 from repro.core.attention import _batched_pair_scores
 from repro.nn import Linear
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, check_gradients
+from repro.sparse import alpha_entmax
+from repro.tensor import Tensor, check_gradients, concat
 
 EQUIV_ATOL = 1e-10
+
+
+def _looped_attention(attention, embeddings, index_set):
+    """Per-head reference for ``attention(embeddings, index_set)``.
+
+    Materialises the ``(N, M, 2d)`` pair tensor and runs each head's FFN
+    (slices of the stacked ``head_w1/b1/w2/b2``) and α-entmax in a Python
+    loop, then mixes the concatenated heads with ``attention.mixer``.
+    """
+    index_set = np.asarray(index_set, dtype=np.int64)
+    num_nodes, dim = embeddings.shape
+    num_significant = index_set.shape[0]
+    neighbours = embeddings[index_set]
+    pairs = concat(
+        [
+            embeddings.unsqueeze(1).broadcast_to((num_nodes, num_significant, dim)),
+            neighbours.unsqueeze(0).broadcast_to((num_nodes, num_significant, dim)),
+        ],
+        axis=-1,
+    )  # (N, M, 2d)
+    heads = []
+    for p in range(attention.num_heads):
+        hidden = (pairs.matmul(attention.head_w1[p]) + attention.head_b1[p]).relu()
+        raw = hidden.matmul(attention.head_w2[p]) + attention.head_b2[p]  # (N, M, 2)
+        heads.append(alpha_entmax(raw, alpha=attention.alpha, axis=1))
+    return attention.mixer(concat(heads, axis=-1)).squeeze(-1)  # (N, M)
 
 
 @pytest.fixture
@@ -32,7 +58,7 @@ class TestVectorizedEquivalence:
     def test_forward_matches_per_head_loop(self, embeddings, index_set):
         attention = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=3, ffn_hidden=8)
         vectorized = attention(embeddings, index_set)
-        looped = attention.forward_looped(embeddings, index_set)
+        looped = _looped_attention(attention, embeddings, index_set)
         np.testing.assert_allclose(vectorized.data, looped.data, atol=EQUIV_ATOL, rtol=0)
 
     def test_gradients_match_per_head_loop(self, embeddings, index_set):
@@ -48,7 +74,7 @@ class TestVectorizedEquivalence:
             return result
 
         vectorized = grads(attention.forward)
-        looped = grads(attention.forward_looped)
+        looped = grads(lambda e, i: _looped_attention(attention, e, i))
         assert set(vectorized) == set(looped)
         for name in vectorized:
             np.testing.assert_allclose(
@@ -61,7 +87,7 @@ class TestVectorizedEquivalence:
         )
         np.testing.assert_allclose(
             attention(embeddings, index_set).data,
-            attention.forward_looped(embeddings, index_set).data,
+            _looped_attention(attention, embeddings, index_set).data,
             atol=EQUIV_ATOL,
             rtol=0,
         )
@@ -70,7 +96,7 @@ class TestVectorizedEquivalence:
         attention = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=1, ffn_hidden=4)
         np.testing.assert_allclose(
             attention(embeddings, index_set).data,
-            attention.forward_looped(embeddings, index_set).data,
+            _looped_attention(attention, embeddings, index_set).data,
             atol=EQUIV_ATOL,
             rtol=0,
         )
@@ -104,61 +130,13 @@ class TestVectorizedEquivalence:
             attention_module._TILE_BYTES = original
         embeddings.zero_grad()
         attention.zero_grad()
-        whole = attention.forward_looped(embeddings, index_set)
+        whole = _looped_attention(attention, embeddings, index_set)
         (whole * whole).sum().backward()
         np.testing.assert_allclose(tiled.data, whole.data, atol=EQUIV_ATOL, rtol=0)
         np.testing.assert_allclose(tiled_grad, embeddings.grad, atol=EQUIV_ATOL, rtol=0)
 
 
-def _legacy_state(attention: SparseSpatialMultiHeadAttention, prefix: str = ""):
-    """Re-serialise a module's stacked parameters in the per-head key layout."""
-    state = {}
-    for p in range(attention.num_heads):
-        head = f"{prefix}heads.{p}."
-        state[f"{head}input_layer.weight"] = attention.head_w1.data[p].copy()
-        state[f"{head}input_layer.bias"] = attention.head_b1.data[p].copy()
-        state[f"{head}output_layer.weight"] = attention.head_w2.data[p].copy()
-        state[f"{head}output_layer.bias"] = attention.head_b2.data[p].copy()
-    state[f"{prefix}mixer.weight"] = attention.mixer.weight.data.copy()
-    state[f"{prefix}mixer.bias"] = attention.mixer.bias.data.copy()
-    return state
-
-
 class TestStateDictMigration:
-    def test_legacy_per_head_checkpoint_loads(self, embeddings, index_set):
-        source = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=3, ffn_hidden=8, seed=5)
-        target = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=3, ffn_hidden=8, seed=9)
-        target.load_state_dict(_legacy_state(source))
-        np.testing.assert_array_equal(target.head_w1.data, source.head_w1.data)
-        np.testing.assert_array_equal(target.head_b2.data, source.head_b2.data)
-        np.testing.assert_allclose(
-            target(embeddings, index_set).data,
-            source(embeddings, index_set).data,
-            atol=EQUIV_ATOL,
-            rtol=0,
-        )
-
-    def test_legacy_checkpoint_loads_through_full_model(self):
-        """Migration must also fire for nested prefixes (attention. inside SAGDFN)."""
-        config = SAGDFNConfig(
-            num_nodes=12, history=4, horizon=4, embedding_dim=6, num_significant=4,
-            top_k=3, hidden_size=8, num_heads=2, ffn_hidden=4, seed=0,
-        )
-        model = SAGDFN(config)
-        state = model.state_dict()
-        # Rewrite the attention keys into the legacy per-head layout.
-        legacy = {k: v for k, v in state.items() if not k.startswith("attention.head_")}
-        legacy.update(_legacy_state(model.attention, prefix="attention."))
-        legacy.pop("attention.mixer.weight")  # already present from state_dict
-        legacy.pop("attention.mixer.bias")
-        legacy.update({k: v for k, v in state.items() if k.startswith("attention.mixer.")})
-
-        fresh = SAGDFN(config)
-        fresh.load_state_dict(legacy)
-        np.testing.assert_array_equal(
-            fresh.attention.head_w1.data, model.attention.head_w1.data
-        )
-
     def test_current_state_dict_round_trips(self, embeddings, index_set):
         attention = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=2, ffn_hidden=8, seed=3)
         fresh = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=2, ffn_hidden=8, seed=4)
@@ -189,14 +167,6 @@ class TestStateDictMigration:
         target.load_state_dict(source.state_dict())
         x = Tensor(np.ones((2, 3)))
         np.testing.assert_array_equal(target(x).data, source(x).data)
-
-    def test_legacy_head_count_mismatch_reports_structured_error(self):
-        """A 2-head legacy checkpoint into a 3-head model must fail with the
-        normal missing/unexpected-key report, not a bare KeyError."""
-        source = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=2, ffn_hidden=8, seed=0)
-        target = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=3, ffn_hidden=8, seed=0)
-        with pytest.raises(KeyError, match="state_dict mismatch"):
-            target.load_state_dict(_legacy_state(source))
 
     def test_named_modules_prefixes(self):
         attention = SparseSpatialMultiHeadAttention(embedding_dim=4, num_heads=1, ffn_hidden=4)

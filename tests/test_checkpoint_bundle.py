@@ -1,4 +1,4 @@
-"""Checkpoint bundle round-trips, dtype policy, and legacy migration."""
+"""Checkpoint bundle round-trips, dtype policy, and rejection of other formats."""
 
 import json
 
@@ -28,6 +28,28 @@ def _tiny_config(**overrides):
 @pytest.fixture
 def fitted_scaler():
     return StandardScaler().fit(np.array([10.0, 20.0, 30.0]))
+
+
+def _rewrite_bundle(path, edit_info=None, drop=()):
+    """Rewrite a saved bundle in place: edit its ``__bundle__`` JSON record
+    with ``edit_info(info)`` and drop the archive keys in ``drop``."""
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {name: archive[name] for name in archive.files if name not in drop}
+    if edit_info is not None:
+        info = json.loads(str(payload["__bundle__"]))
+        edit_info(info)
+        payload["__bundle__"] = np.array(json.dumps(info))
+    np.savez(path, **payload)
+    return path
+
+
+def _set_version(version):
+    def edit(info):
+        if version is None:
+            del info["version"]
+        else:
+            info["version"] = version
+    return edit
 
 
 class TestBundleRoundTrip:
@@ -120,61 +142,37 @@ class TestMismatchedArchives:
         with pytest.raises(ValueError):
             load_checkpoint(other, path)
 
-    def test_future_bundle_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [None, 1, 2, BUNDLE_VERSION + 1],
+                             ids=["absent", "1", "2", "4"])
+    def test_unsupported_bundle_version_rejected(self, tmp_path, version):
         model = SAGDFN(_tiny_config())
         path = save_bundle(model, tmp_path / "bundle")
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        info = json.loads(str(payload["__bundle__"]))
-        info["version"] = BUNDLE_VERSION + 1
-        payload["__bundle__"] = np.array(json.dumps(info))
-        np.savez(path, **payload)
+        _rewrite_bundle(path, _set_version(version))
         with pytest.raises(ValueError, match="version"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("key", ["count", "m2"])
+    def test_incomplete_scaler_record_rejected(self, tmp_path, fitted_scaler, key):
+        model = SAGDFN(_tiny_config())
+        path = save_bundle(model, tmp_path / "bundle", scaler=fitted_scaler)
+        _rewrite_bundle(path, lambda info: info["scaler"].pop(key))
+        with pytest.raises(ValueError, match="scaler record"):
             load_bundle(path)
 
     def test_missing_config_rejected_by_service(self, tmp_path):
         model = SAGDFN(_tiny_config())
         path = save_bundle(model, tmp_path / "bundle")
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        info = json.loads(str(payload["__bundle__"]))
-        info["config"] = None
-        payload["__bundle__"] = np.array(json.dumps(info))
-        np.savez(path, **payload)
+        _rewrite_bundle(path, lambda info: info.update(config=None))
         with pytest.raises(ValueError, match="config"):
             ForecastService.from_checkpoint(path)
 
-
-    @staticmethod
-    def _with_config_key(path, dest, key, value):
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        info = json.loads(str(payload["__bundle__"]))
-        info["config"][key] = value
-        payload["__bundle__"] = np.array(json.dumps(info))
-        np.savez(dest, **payload)
-        return dest
-
-    @pytest.mark.parametrize("recorded", ["numpy", "not-installed-here"])
-    def test_recorded_backend_key_is_ignored(self, tmp_path, rng, recorded):
-        """Bundles written while the engine had pluggable execution backends
-        carry ``config["backend"]``; they load and serve bit-identically to
-        the same bundle without the key, whatever name it records."""
-        model = SAGDFN(_tiny_config(seed=5))
-        model.refresh_graph(0)
-        path = save_bundle(model, tmp_path / "bundle")
-        older = self._with_config_key(path, tmp_path / "older.npz", "backend", recorded)
-        batch = rng.normal(size=(2, 4, 8, 2))
-        expected = ForecastService.from_checkpoint(path).predict(batch)
-        served = ForecastService.from_checkpoint(older).predict(batch)
-        assert np.array_equal(served, expected)
-
-    def test_other_unknown_config_keys_still_fail(self, tmp_path):
+    @pytest.mark.parametrize("key", ["colour", "backend"])
+    def test_other_unknown_config_keys_still_fail(self, tmp_path, key):
         model = SAGDFN(_tiny_config())
         path = save_bundle(model, tmp_path / "bundle")
-        odd = self._with_config_key(path, tmp_path / "odd.npz", "colour", "blue")
-        with pytest.raises(TypeError, match="colour"):
-            ForecastService.from_checkpoint(odd)
+        _rewrite_bundle(path, lambda info: info["config"].update({key: "blue"}))
+        with pytest.raises(TypeError, match=key):
+            ForecastService.from_checkpoint(path)
 
 
 class TestBundleIntegrity:
@@ -215,17 +213,20 @@ class TestBundleIntegrity:
         with pytest.raises(Exception):
             load_bundle(path)
 
-    def test_legacy_bundle_without_digest_still_loads(self, tmp_path):
-        """Bundles written before the digest key must stay loadable."""
+    def test_tampered_payload_without_digest_rejected(self, tmp_path):
+        """Stripping the digest must not let a tampered payload through."""
         model = SAGDFN(_tiny_config())
         model.refresh_graph(0)
         path = save_bundle(model, tmp_path / "bundle")
         with np.load(path, allow_pickle=False) as archive:
             payload = {name: archive[name] for name in archive.files
                        if name != "__digest__"}
+        payload["attention.head_w1"] = payload["attention.head_w1"] + 1.0
         np.savez(path, **payload)
-        bundle = load_bundle(path)
-        assert bundle.version == BUNDLE_VERSION
+        with pytest.raises(ValueError, match="digest"):
+            load_bundle(path)
+        # Cluster workers skip the check after their parent has made it.
+        load_bundle(path, verify_digest=False)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         model = SAGDFN(_tiny_config())
@@ -246,6 +247,23 @@ class TestBundleIntegrity:
         with pytest.raises(SystemExit, match="error: cannot load"):
             serve_main([str(path), "--requests", "1"])
 
+    @pytest.mark.parametrize(
+        "edit_info, drop",
+        [(None, ("__digest__",)), (_set_version(None), ()), (_set_version(2), ()),
+         (_set_version(BUNDLE_VERSION + 1), ())],
+        ids=["no-digest", "version-absent", "version-2", "version-4"],
+    )
+    def test_serve_cli_reports_rejected_bundle_as_one_line_error(self, tmp_path,
+                                                                 edit_info, drop):
+        from repro.serve.__main__ import main as serve_main
+
+        model = SAGDFN(_tiny_config())
+        model.refresh_graph(0)
+        path = _rewrite_bundle(save_bundle(model, tmp_path / "bundle"), edit_info, drop)
+        with pytest.raises(SystemExit, match="error: cannot load") as raised:
+            serve_main([str(path), "--requests", "1"])
+        assert "\n" not in str(raised.value)
+
     def test_serve_cli_reports_truncation_as_one_line_error(self, tmp_path):
         from repro.serve.__main__ import main as serve_main
 
@@ -258,33 +276,48 @@ class TestBundleIntegrity:
             serve_main([str(path), "--requests", "1"])
 
 
-class TestLegacyMigration:
-    def test_per_head_attention_checkpoint_loads(self, tmp_path, rng):
-        """Seed-era per-head FFN keys migrate through Module._upgrade_state_dict."""
+def _per_head_attention_state(state):
+    """``state`` with the stacked attention heads split into per-head keys."""
+    retired = {k: v for k, v in state.items() if not k.startswith("attention.head_")}
+    for p in range(state["attention.head_w1"].shape[0]):
+        head = f"attention.heads.{p}."
+        retired[f"{head}input_layer.weight"] = state["attention.head_w1"][p]
+        retired[f"{head}input_layer.bias"] = state["attention.head_b1"][p]
+        retired[f"{head}output_layer.weight"] = state["attention.head_w2"][p]
+        retired[f"{head}output_layer.bias"] = state["attention.head_b2"][p]
+    return retired
+
+
+def _per_gate_cell_state(state):
+    """``state`` with each cell's shared gate convolution split per gate."""
+    retired = {}
+    for key, value in state.items():
+        if ".gates." not in key:
+            retired[key] = value
+            continue
+        hidden = value.shape[-1] // 2
+        retired[key.replace(".gates.", ".reset_gate.")] = value[..., :hidden]
+        retired[key.replace(".gates.", ".update_gate.")] = value[..., hidden:]
+    return retired
+
+
+def _load_via_state_dict(model, state, tmp_path):
+    model.load_state_dict(state)
+
+
+def _load_via_checkpoint(model, state, tmp_path):
+    path = tmp_path / "retired.npz"
+    np.savez(path, __metadata__=np.array("{}"), **state)
+    load_checkpoint(model, path)
+
+
+class TestRetiredLayouts:
+    @pytest.mark.parametrize("loader", [_load_via_state_dict, _load_via_checkpoint],
+                             ids=["load_state_dict", "load_checkpoint"])
+    @pytest.mark.parametrize("retire", [_per_head_attention_state, _per_gate_cell_state],
+                             ids=["per-head-attention", "per-gate-cell"])
+    def test_retired_parameter_layout_rejected(self, tmp_path, retire, loader):
+        """Parameter keys of earlier layouts are a key mismatch, not migrated."""
         model = SAGDFN(_tiny_config(seed=7))
-        model.refresh_graph(0)
-        state = model.state_dict()
-
-        legacy = {}
-        for name, value in state.items():
-            if name.startswith("attention.head_"):
-                continue
-            legacy[name] = value
-        attention = model.attention
-        for p in range(attention.num_heads):
-            head = f"attention.heads.{p}."
-            legacy[f"{head}input_layer.weight"] = attention.head_w1.data[p]
-            legacy[f"{head}input_layer.bias"] = attention.head_b1.data[p]
-            legacy[f"{head}output_layer.weight"] = attention.head_w2.data[p]
-            legacy[f"{head}output_layer.bias"] = attention.head_b2.data[p]
-        legacy["__metadata__"] = np.array(json.dumps({"era": "per-head"}))
-        path = tmp_path / "legacy.npz"
-        np.savez(path, **legacy)
-
-        clone = SAGDFN(_tiny_config(seed=9))
-        clone._index_set = model.index_set.copy()
-        metadata = load_checkpoint(clone, path)
-        assert metadata == {"era": "per-head"}
-        batch = Tensor(rng.normal(size=(2, 4, 8, 2)))
-        model.eval(), clone.eval()
-        assert np.allclose(model(batch).data, clone(batch).data)
+        with pytest.raises(KeyError, match="state_dict mismatch"):
+            loader(SAGDFN(_tiny_config(seed=9)), retire(model.state_dict()), tmp_path)

@@ -12,8 +12,6 @@ Both are checked against ``_oracle_cell_step`` / ``_oracle_forecast`` below,
 a plain-NumPy transcription of Eq. 9–10 that reads only the cells' hop
 weights.  The paths only reorder BLAS reductions, so in float64 they agree
 to ≤ 1e-10 relative; float32 gets a correspondingly looser envelope.
-Legacy per-gate checkpoints must keep loading bit-exactly through
-``_upgrade_state_dict``.
 """
 
 import numpy as np
@@ -329,80 +327,9 @@ def _copy_of(model):
     return clone
 
 
-class TestLegacyCheckpointMigration:
-    def _legacy_state(self, cell, prefix="", rng=None):
-        """Build a legacy per-gate state dict for ``cell`` with random values."""
-        rng = rng or np.random.default_rng(11)
-        combined = cell.input_dim + cell.hidden_dim
-        hidden = cell.hidden_dim
-        hops = cell.gates.diffusion_steps
-        state = {}
-        for gate in ("reset_gate", "update_gate"):
-            for j in range(hops):
-                state[f"{prefix}{gate}.hop_weights.{j}"] = rng.normal(
-                    size=(combined, hidden)
-                )
-            state[f"{prefix}{gate}.bias"] = rng.normal(size=hidden)
-        for j in range(hops):
-            state[f"{prefix}candidate.hop_weights.{j}"] = rng.normal(
-                size=(combined, hidden)
-            )
-        state[f"{prefix}candidate.bias"] = rng.normal(size=hidden)
-        state[f"{prefix}projection"] = rng.normal(size=(hidden, cell.output_dim))
-        return state
-
-    def test_cell_upgrades_per_gate_keys_bit_exactly(self):
-        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=4, diffusion_steps=3, seed=0)
-        legacy = self._legacy_state(cell)
-        cell.load_state_dict(legacy)
-        for j in range(3):
-            expected = np.concatenate(
-                [legacy[f"reset_gate.hop_weights.{j}"],
-                 legacy[f"update_gate.hop_weights.{j}"]], axis=1
-            )
-            assert np.array_equal(cell.gates.hop_weights[j].data, expected)
-        assert np.array_equal(
-            cell.gates.bias.data,
-            np.concatenate([legacy["reset_gate.bias"], legacy["update_gate.bias"]]),
-        )
-        assert np.array_equal(
-            cell.candidate.hop_weights[0].data, legacy["candidate.hop_weights.0"]
-        )
-
-    def test_full_model_round_trips_through_legacy_layout(self):
-        """Downgrade a model's state to the per-gate layout and load it back."""
-        model = _model(num_layers=2)
-        state = model.state_dict()
-        legacy = {}
-        for key, value in state.items():
-            if ".gates.hop_weights." in key:
-                head, hop = key.rsplit(".", 1)
-                base = head.replace(".gates.hop_weights", "")
-                hidden = value.shape[1] // 2
-                legacy[f"{base}.reset_gate.hop_weights.{hop}"] = value[:, :hidden]
-                legacy[f"{base}.update_gate.hop_weights.{hop}"] = value[:, hidden:]
-            elif key.endswith(".gates.bias"):
-                base = key.replace(".gates.bias", "")
-                hidden = value.shape[0] // 2
-                legacy[f"{base}.reset_gate.bias"] = value[:hidden]
-                legacy[f"{base}.update_gate.bias"] = value[hidden:]
-            else:
-                legacy[key] = value
-        clone = SAGDFN(model.config)
-        clone.load_state_dict(legacy)
-        for key, value in clone.state_dict().items():
-            assert np.array_equal(value, state[key]), key
-
-    def test_hop_count_mismatch_falls_through_to_key_error(self):
-        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=4, diffusion_steps=2, seed=0)
-        three_hop = OneStepFastGConvCell(input_dim=2, hidden_dim=4, diffusion_steps=3,
-                                         seed=0)
-        legacy = self._legacy_state(three_hop)
-        with pytest.raises(KeyError):
-            cell.load_state_dict(legacy)
-
-    def test_fresh_cell_matches_legacy_seeded_draws(self):
-        """Fused weights are assembled from the exact legacy per-gate streams."""
+class TestGateInitialisation:
+    def test_gate_weights_use_per_gate_seeded_draws(self):
+        """Reset columns come from seed ``seed``, update columns from ``seed + 1``."""
         from repro.nn import init
         from repro.utils.seed import spawn_rng
 

@@ -4,8 +4,8 @@ Covers the three cross-layer guarantees of the online stack:
 
 * **Incremental scalers** — ``StandardScaler.partial_fit`` over any chunking
   of a dataset matches a single ``fit`` to <= 1e-10 relative (Chan's
-  parallel-variance merge), mask-aware, and refuses to extend pre-v3
-  statistics that carry no sample count.
+  parallel-variance merge), mask-aware, and a bundle-rehydrated scaler
+  continues exactly where the saved one stopped.
 * **Hot-swap bit-parity** — ``swap_index_set`` re-runs the cold-load freeze
   path, so a hot-swapped service answers bit-identically to a cold-started
   service loaded with the same index set, and in-flight requests during a
@@ -14,8 +14,6 @@ Covers the three cross-layer guarantees of the online stack:
   the batch data layer would, live metrics merge across sessions, and the
   drift monitor's overlap/cooldown state machine drives the swap.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -105,12 +103,6 @@ class TestPartialFit:
             scaler.partial_fit(chunk)
         assert np.allclose(scaler.inverse_transform(scaler.transform(values)), values)
 
-    def test_pre_v3_statistics_cannot_be_extended(self, rng):
-        scaler = StandardScaler().fit(rng.normal(size=(32, NODES)))
-        scaler.count_ = None  # what rehydrating a pre-v3 bundle produces
-        with pytest.raises(RuntimeError, match="partial_fit"):
-            scaler.partial_fit(rng.normal(size=(4, NODES)))
-
 
 class TestBundleV3:
     def test_v3_bundle_round_trips_drift_and_scaler_provenance(self, tmp_path, rng):
@@ -141,31 +133,6 @@ class TestBundleV3:
         assert revived.count_ == scaler.count_
         revived.partial_fit(rng.normal(size=(10, NODES)))
         assert revived.count_ == scaler.count_ + 10 * NODES
-
-    def test_pre_v3_bundle_loads_without_drift_or_provenance(self, tmp_path, rng):
-        model = _frozen_model()
-        scaler = StandardScaler().fit(rng.normal(size=(50, NODES)))
-        path = save_bundle(model, tmp_path / "v2", scaler=scaler,
-                           drift=DriftConfig())
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-        info = json.loads(str(payload["__bundle__"]))
-        info["version"] = 2
-        info.pop("drift", None)
-        info["scaler"].pop("count", None)
-        info["scaler"].pop("m2", None)
-        payload["__bundle__"] = np.array(json.dumps(info))
-        np.savez(path, **payload)
-
-        bundle = load_bundle(path)
-        assert bundle.version == 2
-        assert bundle.drift is None
-        revived = rehydrate_scaler(bundle)
-        assert revived.count_ is None
-        assert np.allclose(revived.transform(np.full(NODES, scaler.mean_)), 0.0)
-        with pytest.raises(RuntimeError, match="partial_fit"):
-            revived.partial_fit(np.zeros((2, NODES)))
-
 
 class TestIndexSetOverlap:
     def test_identical_sets_overlap_fully(self):
@@ -517,21 +484,11 @@ class TestSessionManager:
         with pytest.raises(KeyError, match="unknown session"):
             manager.forecast("nobody")
 
-    def test_update_scaler_requires_v3_provenance(self, bundle_path, rng):
+    def test_update_scaler_extends_bundle_scaler(self, bundle_path, rng):
         manager = SessionManager.from_checkpoint(bundle_path, update_scaler=True)
         count_before = manager.scaler.count_
         manager.push_observations("c", np.abs(rng.normal(5.0, 2.0, size=(2, NODES))))
         assert manager.scaler.count_ == count_before + 2 * NODES
-
-        stale = StandardScaler().fit(rng.normal(size=(8, NODES)))
-        stale.count_ = None
-        with pytest.raises(ValueError, match="provenance"):
-            SessionManager(
-                ForecastService(_frozen_model(), scaler=stale),
-                {"num_nodes": NODES, "history": 4, "horizon": 3,
-                 "input_dim": 1, "num_significant": 4, "top_k": 3},
-                scaler=stale, update_scaler=True,
-            )
 
 
 class _FakeClock:

@@ -55,17 +55,16 @@ class TestPerfRunner:
         assert on_disk["schema_version"] == report["schema_version"]
         assert len(on_disk["results"]) == len(report["results"])
 
-    def test_both_dtypes_and_speedups_present(self, tiny_report):
+    def test_both_dtypes_and_timings_present(self, tiny_report):
         report, _ = tiny_report
         dtypes = {entry["dtype"] for entry in report["results"]}
         assert dtypes == {"float32", "float64"}
         for entry in report["results"]:
             assert entry["attention_vectorized_ms"] > 0
-            assert entry["attention_loop_ms"] > 0
-            assert entry["attention_speedup"] > 0
             assert entry["gconv_ms"] > 0
             assert entry["train_step_ms"] > 0
-        assert "24" in report["attention_speedup_vs_seed"]
+            assert "attention_loop_ms" not in entry
+        assert "attention_speedup_vs_seed" not in report
 
     def test_serve_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
@@ -137,7 +136,6 @@ class TestPerfRunner:
                     "benchmark": "attention",
                     "schema_version": 1,
                     "config": {},
-                    "attention_speedup_vs_seed": {},
                     "results": [],
                 }
             )
@@ -147,7 +145,6 @@ class TestPerfRunner:
                     "benchmark": "attention",
                     "schema_version": 3,
                     "config": {},
-                    "attention_speedup_vs_seed": {},
                     "serve": {"results": []},
                     "scaling": {"memory_budget_mb": 1.0, "results": [{}]},
                     "results": [{"num_nodes": 1, "num_significant": 1, "dtype": "float32",
@@ -177,7 +174,7 @@ class TestRecurrenceSection:
     def test_recurrence_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
         recurrence = report["recurrence"]
-        assert report["schema_version"] == 10
+        assert report["schema_version"] == 11
         assert recurrence["history"] > 0 and recurrence["horizon"] > 0
         (entry,) = recurrence["results"]
         assert entry["num_nodes"] == 24

@@ -57,13 +57,12 @@ class TestScenarioTraining:
 
 class TestScenarioBundle:
     def test_bundle_records_scenario(self, scenario_cell):
-        scenario = scenario_cell.bundle.scenario
+        config = scenario_cell.bundle.config
         spec = scenario_cell.spec
         expected_quantiles = None if spec.quantiles is None else list(spec.quantiles)
-        assert scenario["quantiles"] == expected_quantiles
-        assert scenario["exog_dim"] == (1 if spec.exog == "on" else 0)
-        assert scenario["mask_input"] is spec.mask_input
-        assert scenario_cell.bundle.version >= 2
+        assert config["quantiles"] == expected_quantiles
+        assert config["exog_dim"] == (1 if spec.exog == "on" else 0)
+        assert config["mask_input"] is spec.mask_input
 
     def test_bundle_config_rebuilds_identically(self, scenario_cell):
         rebuilt = SAGDFNConfig(**scenario_cell.bundle.config)
