@@ -252,7 +252,7 @@ def bench_recurrence(sizes, m, heads, embedding_dim, ffn_hidden, hidden, repeats
     ``service.predict`` at growing batch sizes
     (``throughput_batch8_over_batch1`` summarises it; on a single-core host
     the curve is roughly flat because every op already saturates the core at
-    batch 1 — multi-core BLAS bends it upward).
+    batch 1).
     """
     entries = []
     serve_curve = []

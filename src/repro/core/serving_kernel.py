@@ -2,27 +2,37 @@
 
 :class:`FrozenRecurrenceKernel` runs the recurrence of
 :meth:`repro.core.encoder_decoder.SAGDFNEncoderDecoder.forward` (Eq. 10) on
-plain NumPy arrays, with the channel-wise linearity of the diffusion
-exploited to split every hop weight into input-side and hidden-side row
-blocks: no autograd ``Tensor`` wrapping, no graph construction, and a
-preallocated per-batch-size workspace reused across requests with ``out=``
-matmuls, so neither allocation nor Python-level tensor machinery sits in the
-per-step loop.
+plain NumPy arrays: no autograd ``Tensor`` wrapping, no graph construction,
+and a preallocated per-batch-size workspace reused across requests with
+``out=`` matmuls, so neither allocation nor Python-level tensor machinery
+sits in the per-step loop.
 
-Three layout decisions carry the speedup:
+Every state is **feature-major** ``(C, B, N)``: channels first, nodes
+fastest, so each channel row is one contiguous run of ``B·N`` values and
+every elementwise op (sigmoid, tanh, the blend, the reset product) is a
+contiguous pass.  Each cell keeps one stack of shape ``(J·(C+H) + 1, B, N)``
+whose row blocks are ``[x_0, h_0, x_1, h_1, …, 1]`` — the row order of
+``cell.gates.hop_weights`` — and the cell's hidden state lives in its
+``h_0`` rows.  Per cell and time step:
 
-* **Node-major states** ``(N, B, C)`` — the batch and channel axes fold
-  together as gemm columns, so the ``O(N·M)`` neighbour aggregation is a
-  single ``(N, M) @ (M, B·C)`` BLAS call per hop instead of a
-  batch-size-long loop of small gemms, and gemm efficiency *grows* with the
-  batch (which is what bends the serve throughput-vs-batch curve upward).
-* **Input-side precompute** — the encoder's input diffusion states are
-  computed for the whole history before the loop (one batched BLAS call per
-  hop) and stored hop-stacked with a constant ones channel, so the per-step
-  input contribution (gate *and* bias) is one small gemm.
-* **Hop-stacked x-side weights with folded biases** — the per-step loop
-  applies ``[x_0 | x_1 | 1] @ [W_0; W_1; b]`` in one call; only the hidden
-  and reset-scaled hidden states are diffused inside the loop.
+* **Diffusion hop** — gather the ``M`` significant-neighbour columns of hop
+  block ``j``, then a ``(C, M) @ Aᵀ (M, N)`` gemm writes block ``j+1`` in
+  place, followed by ``+= block_j`` and ``*= (D + I)^{-1}``.  The input
+  ``x`` is diffused together with ``h`` by the same gemm.
+* **Gates** — a ``(3H, K) @ (K, N)`` gemm over the whole stack yields
+  reset, update and the candidate's input side as contiguous row blocks;
+  the trailing ones row folds in every bias, and the candidate's weights
+  carry zero rows under the ``h`` rows.
+* **Candidate** — a second ``(H, J·H)`` gemm over the diffused
+  ``r ⊙ h`` stack supplies the candidate's hidden side.
+
+Every gemm is one NumPy call over the ``B`` windows of the batch, which
+NumPy runs as ``B`` BLAS calls of batch 1's size (the window's rows are a
+strided ``(·, N)`` slice of the ``(·, B, N)`` state).  A batch then costs
+``B`` batch-1 gemms whatever the BLAS threading policy: a single
+``(·, B·N)`` gemm crosses OpenBLAS's multithreading threshold at small
+``N`` and hands parts of every gate row to other cores, which made the
+elementwise passes that read those rows slower than the gemm saved.
 
 The kernel snapshots the cells' weights at construction (the
 :class:`~repro.serve.service.ForecastService` owns its model, so the
@@ -58,41 +68,22 @@ def _stack_with_bias(hop_blocks: list[np.ndarray], bias: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(np.concatenate(hop_blocks + [bias[None, :]], axis=0))
 
 
-def _diffusion_aggregate_(adjacency, gathered, previous, scale, out,
-                          gemm_out=None) -> None:
-    """One raw in-place diffusion hop over node-major ndarray states.
+def _diffusion_aggregate_(adjacency_t, gathered, previous, scale, out) -> None:
+    """One raw in-place diffusion hop over feature-major ndarray states.
 
-    ``out = (adjacency @ gathered + previous) * scale`` where ``gathered`` is
-    ``(M, B, C)`` (or ``(T, M, B, C)`` for the batched whole-history
-    precompute) and ``previous`` / ``out`` are matching ``(…, N, B, C)``
-    arrays.  The matmul folds batch and channels into one gemm-column axis.
-    When ``out`` is a strided view (the hop blocks of an x-stack),
-    ``gemm_out`` supplies a contiguous scratch the gemm lands in first.
+    ``out = (gathered @ adjacency_t + previous) * scale`` where ``gathered``
+    is the ``(C, B, M)`` neighbour gather of ``previous`` (``previous``
+    itself for a dense support), ``adjacency_t`` the transposed ``(M, N)``
+    adjacency, ``previous`` / ``out`` contiguous ``(C, B, N)`` arrays and
+    ``scale`` the ``(N,)`` degree normalisation.  The gemm runs per window.
     """
-    rows = adjacency.shape[0]
-    cols = gathered.shape[-2] * gathered.shape[-1]
-    if gathered.ndim == 4:
-        # Whole-sequence precompute: one batched gemm over (T, M, B·C).
-        steps = gathered.shape[0]
-        np.matmul(
-            adjacency,
-            gathered.reshape(steps, -1, cols),
-            out=out.reshape(steps, rows, cols),
-        )
-        out += previous
-        out *= scale
-        return
-    target = out if gemm_out is None else gemm_out
-    np.matmul(adjacency, gathered.reshape(-1, cols), out=target.reshape(rows, cols))
-    if gemm_out is None:
-        out += previous
-    else:
-        np.add(gemm_out, previous, out=out)
+    np.matmul(gathered.transpose(1, 0, 2), adjacency_t, out=out.transpose(1, 0, 2))
+    out += previous
     out *= scale
 
 
 def _fused_gru_gates_(gates: np.ndarray) -> None:
-    """In-place sigmoid over the ``(N, B, 2·hidden)`` fused gates."""
+    """In-place sigmoid over the fused reset/update gates."""
     # In-place 1 / (1 + exp(-max(x, -60))).  The reference
     # ``Tensor.sigmoid`` clips to [-60, 60]; the lower bound is what
     # prevents ``exp`` overflow, and dropping the upper bound changes
@@ -120,92 +111,62 @@ def _fused_gru_update_(hidden: np.ndarray, update: np.ndarray,
 
 
 class _CellWeights:
-    """Contiguous, pre-split snapshot of one cell's parameters.
+    """Contiguous, pre-transposed snapshot of one cell's parameters.
 
-    ``gate_h[j]`` / ``cand_h[j]`` are the hidden-side row blocks of hop
-    ``j`` (reset columns first, update columns second, for the gates);
-    ``gate_x`` / ``cand_x`` are the hop-stacked input-side blocks with the
-    bias folded in as a trailing row (see :func:`_stack_with_bias`).
+    ``gates`` is the ``(3H, K)`` weight of the stack gemm: reset and update
+    rows are ``_stack_with_bias(gates.hop_weights, bias).T``; the candidate's
+    input-side rows follow, zero under each hop's ``h`` rows.  ``cand_h`` is
+    the ``(H, J·H)`` hidden-side candidate weight over the ``r ⊙ h`` stack,
+    and ``projection`` the ``(P, H)`` prediction head.
     """
 
-    __slots__ = (
-        "hops", "input_dim", "hidden_dim", "output_dim",
-        "gate_h", "cand_h", "gate_x", "cand_x", "projection",
-    )
+    __slots__ = ("input_dim", "gates", "cand_h", "projection")
 
     def __init__(self, cell) -> None:
         in_dim = cell.input_dim
-        self.hops = cell.gates.diffusion_steps
         self.input_dim = in_dim
-        self.hidden_dim = cell.hidden_dim
-        self.output_dim = cell.output_dim
-        self.gate_h = [np.ascontiguousarray(w.data[in_dim:]) for w in cell.gates.hop_weights]
-        self.cand_h = [np.ascontiguousarray(w.data[in_dim:]) for w in cell.candidate.hop_weights]
-        self.gate_x = _stack_with_bias(
-            [np.asarray(w.data[:in_dim]) for w in cell.gates.hop_weights],
-            cell.gates.bias.data,
-        )
-        self.cand_x = _stack_with_bias(
-            [np.asarray(w.data[:in_dim]) for w in cell.candidate.hop_weights],
+        gates = _stack_with_bias([w.data for w in cell.gates.hop_weights],
+                                 cell.gates.bias.data)
+        cand_x = _stack_with_bias(
+            [np.concatenate([w.data[:in_dim], np.zeros_like(w.data[in_dim:])])
+             for w in cell.candidate.hop_weights],
             cell.candidate.bias.data,
         )
-        self.projection = np.ascontiguousarray(cell.projection.data)
+        self.gates = np.ascontiguousarray(np.concatenate([gates, cand_x], axis=1).T)
+        self.cand_h = np.ascontiguousarray(
+            np.concatenate([w.data[in_dim:] for w in cell.candidate.hop_weights]).T
+        )
+        self.projection = np.ascontiguousarray(cell.projection.data.T)
 
 
 class _Workspace:
-    """Preallocated per-batch-size scratch buffers (all node-major)."""
+    """Preallocated per-batch-size buffers, all feature-major ``(·, B, N)``."""
 
     def __init__(self, kernel: "FrozenRecurrenceKernel", batch: int) -> None:
         n = kernel.num_nodes
         h = kernel.hidden_dim
         hops = kernel.hops
         dtype = kernel.dtype
-        m = kernel.adjacency.shape[-1]
-        # Input widths diffused inside the step loop: every decoder layer,
-        # and encoder layers above the first (their inputs are the hidden
-        # states of the layer below).  The first encoder layer's input
-        # states are precomputed once per request.  Each x-stack carries the
-        # hop-stacked states plus the constant ones channel that folds the
-        # gate/candidate biases into the x-side gemm.
-        x_widths = sorted(
-            {cell.input_dim for cell in kernel.decoder}
-            | {cell.input_dim for cell in kernel.encoder[1:]}
-        )
-        self.x_stacks = {}
-        self.x_scratch = {}
-        self.x_dense_gather = {}
-        for width in x_widths:
-            stack = np.empty((n, batch, hops * width + 1), dtype)
-            stack[..., -1] = 1.0
-            self.x_stacks[width] = stack
-            self.x_scratch[width] = np.empty((n, batch, width), dtype)
-            if kernel.index_set is None:
-                # Dense supports gather the full strided hop block; give the
-                # contiguous copy its own buffer (x_scratch holds the gemm
-                # output of the same iteration).
-                self.x_dense_gather[width] = np.empty((n, batch, width), dtype)
-        gather_widths = sorted(set(x_widths) | {h}) if kernel.index_set is not None else []
-        self.gather = {
-            width: np.empty((m, batch, width), dtype) for width in gather_widths
-        }
-        # One hidden-state stack per layer; the layer's hidden state lives
-        # permanently in ``h_states[layer][0]`` (the hop-0 diffusion state),
-        # shared by the encoder and decoder phases.
-        self.h_states = [
-            np.empty((hops, n, batch, h), dtype) for _ in kernel.encoder
-        ]
-        self.r_states = np.empty((hops, n, batch, h), dtype)
-        self.gates = np.empty((n, batch, 2 * h), dtype)
-        self.scratch_2h = np.empty((n, batch, 2 * h), dtype)
-        self.scratch_h = np.empty((n, batch, h), dtype)
-        self.update = np.empty((n, batch, h), dtype)
-        self.candidate = np.empty((n, batch, h), dtype)
-        self.decoder_input = np.empty((n, batch, kernel.output_dim), dtype)
-        # Full-width predictions: one column per quantile head for
+
+        def stack(cell: _CellWeights) -> np.ndarray:
+            rows = np.empty((hops * (cell.input_dim + h) + 1, batch, n), dtype)
+            rows[-1] = 1.0
+            return rows
+
+        # One stack per cell; the decoder's hidden rows are copied from the
+        # encoder's once per request.
+        self.encoder_stacks = [stack(cell) for cell in kernel.encoder]
+        self.decoder_stacks = [stack(cell) for cell in kernel.decoder]
+        self.r_stack = np.empty((hops * h, batch, n), dtype)
+        self.gates = np.empty((3 * h, batch, n), dtype)
+        self.scratch = np.empty((h, batch, n), dtype)
+        self.gather = None
+        if kernel.index_set is not None:
+            widest = max(cell.input_dim for cell in kernel.encoder + kernel.decoder) + h
+            self.gather = np.empty((widest, batch, len(kernel.index_set)), dtype)
+        # Full-width predictions: one row per quantile head for
         # probabilistic forecasters (prediction_dim == output_dim otherwise).
-        self.predictions = np.empty(
-            (kernel.horizon, n, batch, kernel.prediction_dim), dtype
-        )
+        self.predictions = np.empty((kernel.horizon, kernel.prediction_dim, batch, n), dtype)
 
 
 class FrozenRecurrenceKernel:
@@ -234,7 +195,7 @@ class FrozenRecurrenceKernel:
         self.horizon = forecaster.horizon
         self.output_dim = forecaster.output_dim
         self.hidden_dim = forecaster.hidden_dim
-        # Quantile heads: the decoder projects prediction_dim columns per
+        # Quantile heads: the decoder projects prediction_dim rows per
         # step; only the feedback slice (the head closest to the median)
         # re-enters the recurrence.
         self.prediction_dim = getattr(forecaster, "prediction_dim", forecaster.output_dim)
@@ -242,15 +203,14 @@ class FrozenRecurrenceKernel:
         self._feedback_start = feedback_index * self.output_dim
         self.encoder = [_CellWeights(cell) for cell in forecaster.encoder_cells]
         self.decoder = [_CellWeights(cell) for cell in forecaster.decoder_cells]
-        self.hops = self.encoder[0].hops
+        self.hops = forecaster.encoder_cells[0].gates.diffusion_steps
         self.dtype = self.encoder[0].projection.dtype
-        self.adjacency = np.ascontiguousarray(adjacency, dtype=self.dtype)
-        self.num_nodes = self.adjacency.shape[0]
+        # Transposed adjacency: the hop gemm is (C, M) @ (M, N) per window.
+        self.adjacency_t = np.ascontiguousarray(np.asarray(adjacency, dtype=self.dtype).T)
+        self.num_nodes = self.adjacency_t.shape[1]
         self.index_set = None if index_set is None else np.asarray(index_set, dtype=np.int64)
-        # (N, 1, 1): broadcasts over the node-major (N, B, C) states.
-        self.degree_scale = np.ascontiguousarray(
-            degree_scale, dtype=self.dtype
-        ).reshape(self.num_nodes, 1, 1)
+        # (N,): broadcasts over the nodes-fastest (C, B, N) states.
+        self.degree_scale = np.ascontiguousarray(degree_scale, dtype=self.dtype).reshape(-1)
         self._workspaces: dict[int, _Workspace] = {}
         # Batch sizes exempt from LRU eviction (see pin_workspace): a
         # cluster worker pins its steady-state micro-batch size so ragged
@@ -280,166 +240,59 @@ class FrozenRecurrenceKernel:
     # ------------------------------------------------------------------ #
     # Building blocks
     # ------------------------------------------------------------------ #
-    def _diffuse(self, states: np.ndarray, ws: _Workspace) -> None:
-        """Fill ``states[1:]`` from ``states[0]`` (shape ``(hops, N, B, C)``).
+    def _diffuse(self, stack: np.ndarray, width: int, ws: _Workspace) -> None:
+        """Fill hop blocks ``1 … J-1`` of ``stack`` from block 0.
 
-        Mirrors ``FastGraphConv.diffusion_states``:
-        ``s_j = (A · gather(s_{j-1}) + s_{j-1}) * scale``, with the
-        aggregation flattened to one ``(N, M) @ (M, B·C)`` gemm.
+        Blocks are ``width`` rows each.  Mirrors
+        ``FastGraphConv.diffusion_states``:
+        ``s_j = (A · gather(s_{j-1}) + s_{j-1}) * scale``.
         """
-        hops = states.shape[0]
-        for j in range(1, hops):
-            previous = states[j - 1]
-            current = states[j]
+        for j in range(1, self.hops):
+            previous = stack[(j - 1) * width : j * width]
             if self.index_set is None:
                 gathered = previous
             else:
-                gathered = ws.gather[states.shape[-1]]
-                np.take(previous, self.index_set, axis=0, out=gathered)
-            _diffusion_aggregate_(
-                self.adjacency, gathered, previous, self.degree_scale, current
-            )
-
-    def _diffuse_into_stack(self, stack: np.ndarray, hops: int, width: int,
-                            ws: _Workspace) -> None:
-        """Diffuse ``stack[..., :width]`` into the following hop blocks.
-
-        ``stack`` is an x-stack ``(N, B, hops·width + 1)`` whose hop-0 block
-        is already filled; hop blocks are strided views, so the aggregation
-        gemm lands in a contiguous scratch first.
-        """
-        if hops == 1:
-            return
-        target = ws.x_scratch[width]
-        for j in range(1, hops):
-            previous = stack[..., (j - 1) * width : j * width]
-            current = stack[..., j * width : (j + 1) * width]
-            if self.index_set is None:
-                gathered = ws.x_dense_gather[width]
-                np.copyto(gathered, previous)
-            else:
-                gathered = ws.gather[width]
-                np.take(previous, self.index_set, axis=0, out=gathered)
-            _diffusion_aggregate_(
-                self.adjacency, gathered, previous, self.degree_scale, current,
-                gemm_out=target,
-            )
-
-    def _diffuse_batched(self, states: np.ndarray) -> None:
-        """Diffusion over a whole sequence: states shaped ``(hops, T, N, B, C)``.
-
-        The once-per-request encoder input precompute; allocates its gather
-        temporary (amortised over all steps) and runs one gemm per history
-        step per hop.
-        """
-        hops = states.shape[0]
-        for j in range(1, hops):
-            previous = states[j - 1]
-            current = states[j]
-            if self.index_set is None:
-                gathered = previous
-            else:
-                gathered = np.take(previous, self.index_set, axis=1)
-            _diffusion_aggregate_(
-                self.adjacency, gathered, previous, self.degree_scale, current
-            )
-
-    @staticmethod
-    def _project(states: np.ndarray, weights: list[np.ndarray], out: np.ndarray,
-                 scratch: np.ndarray) -> None:
-        """``out = Σ_j states[j] @ weights[j]`` with flat ``out=`` gemms."""
-        rows = states.shape[1] * states.shape[2]
-        width = out.shape[-1]
-        np.matmul(states[0].reshape(rows, -1), weights[0], out=out.reshape(rows, width))
-        flat_scratch = scratch.reshape(rows, width)
-        for j in range(1, len(weights)):
-            np.matmul(states[j].reshape(rows, -1), weights[j], out=flat_scratch)
-            out += scratch
+                gathered = ws.gather[:width]
+                np.take(previous, self.index_set, axis=-1, out=gathered)
+            _diffusion_aggregate_(self.adjacency_t, gathered, previous,
+                                  self.degree_scale, stack[j * width : (j + 1) * width])
 
     def _step(
         self,
         cells: list[_CellWeights],
+        stacks: list[np.ndarray],
         ws: _Workspace,
-        x: np.ndarray | None,
-        x_stack: np.ndarray | None,
+        x: np.ndarray,
         prediction_out: np.ndarray | None,
     ) -> None:
-        """One time step through the stacked cells, updating the hidden states.
+        """One time step through the stacked cells, updating the hidden rows.
 
-        ``x_stack`` carries the hop-stacked input states with the trailing
-        ones channel ``(N, B, hops·C + 1)`` for the first cell (encoder
-        steps use the request precompute); when ``None`` they are diffused
-        on the fly from ``x`` (decoder steps), and stacked layers always
-        diffuse the hidden state of the layer below.  ``prediction_out`` is
+        ``x`` is the first cell's ``(C, B, N)`` input; each stacked layer
+        takes the hidden state of the layer below.  ``prediction_out`` is
         skipped when ``None`` (encoder steps discard predictions).
         """
-        hidden_dim = self.hidden_dim
-        scratch_2h = ws.scratch_2h
-        scratch_h = ws.scratch_h
+        h = self.hidden_dim
+        gates, r_stack, scratch = ws.gates, ws.r_stack, ws.scratch
         current = x
-        for layer, cell in enumerate(cells):
-            h_states = ws.h_states[layer]
-            hidden = h_states[0]
-            # Input-side states (precomputed for the first encoder layer).
-            if layer == 0 and x_stack is not None:
-                layer_x = x_stack
-            else:
-                width = cell.input_dim
-                layer_x = ws.x_stacks[width]
-                layer_x[..., :width] = current
-                self._diffuse_into_stack(layer_x, cell.hops, width, ws)
-            rows = layer_x.shape[0] * layer_x.shape[1]
-            # Hidden-side diffusion states, shared by both fused gates.
-            self._diffuse(h_states, ws)
-            gates = ws.gates
-            self._project(h_states, cell.gate_h, gates, scratch_2h)
-            np.matmul(layer_x.reshape(rows, -1), cell.gate_x,
-                      out=scratch_2h.reshape(rows, 2 * hidden_dim))
-            gates += scratch_2h
-            _fused_gru_gates_(gates)
-            reset = gates[..., :hidden_dim]
-            # ``update`` is read three times below; one contiguous copy is
-            # cheaper than three strided traversals of the gates view.
-            np.copyto(ws.update, gates[..., hidden_dim:])
-            update = ws.update
-            # Candidate: diffusion states of the reset-scaled hidden state.
-            r_states = ws.r_states
-            np.multiply(reset, hidden, out=r_states[0])
-            self._diffuse(r_states, ws)
-            candidate = ws.candidate
-            self._project(r_states, cell.cand_h, candidate, scratch_h)
-            np.matmul(layer_x.reshape(rows, -1), cell.cand_x,
-                      out=scratch_h.reshape(rows, hidden_dim))
-            candidate += scratch_h
-            _fused_gru_update_(hidden, update, candidate, scratch_h)
+        for cell, stack in zip(cells, stacks):
+            width = cell.input_dim + h
+            np.copyto(stack[: cell.input_dim], current)
+            hidden = stack[cell.input_dim : width]
+            self._diffuse(stack, width, ws)
+            # transpose(1, 0, 2): one gemm per window (module docstring).
+            np.matmul(cell.gates, stack.transpose(1, 0, 2), out=gates.transpose(1, 0, 2))
+            _fused_gru_gates_(gates[: 2 * h])
+            np.multiply(gates[:h], hidden, out=r_stack[:h])
+            self._diffuse(r_stack, h, ws)
+            np.matmul(cell.cand_h, r_stack.transpose(1, 0, 2),
+                      out=scratch.transpose(1, 0, 2))
+            candidate = gates[2 * h :]
+            candidate += scratch
+            _fused_gru_update_(hidden, gates[h : 2 * h], candidate, scratch)
             current = hidden
         if prediction_out is not None:
-            rows = self.num_nodes * current.shape[1]
-            np.matmul(
-                current.reshape(rows, hidden_dim),
-                cells[-1].projection,
-                out=prediction_out.reshape(rows, cells[-1].output_dim),
-            )
-
-    def _precompute_encoder_inputs(self, history: np.ndarray) -> np.ndarray:
-        """Diffuse and hop-stack the input states of every encoder step.
-
-        ``history`` arrives node-major ``(T, N, B, C)``; the ``J - 1``
-        aggregation hops run as one batched BLAS call per hop over the whole
-        history instead of ``T`` per-step ones.  Returns per-step x-stacks
-        ``(T, N, B, hops·C + 1)`` (trailing ones channel for the folded
-        biases) — memory stays at input scale, so the precompute never
-        dominates the workspace even for large batches.
-        """
-        steps, n, batch, channels = history.shape
-        states = np.empty((self.hops, steps, n, batch, channels), self.dtype)
-        states[0] = history
-        self._diffuse_batched(states)
-        stacks = np.empty((steps, n, batch, self.hops * channels + 1), self.dtype)
-        for j in range(self.hops):
-            stacks[..., j * channels : (j + 1) * channels] = states[j]
-        stacks[..., -1] = 1.0
-        return stacks
+            np.matmul(cells[-1].projection, current.transpose(1, 0, 2),
+                      out=prediction_out.transpose(1, 0, 2))
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -452,6 +305,8 @@ class FrozenRecurrenceKernel:
                 f"history must be (batch, steps, nodes, channels), got {history.shape}"
             )
         batch, steps, num_nodes, channels = history.shape
+        if steps < 1:
+            raise ValueError(f"history has no time steps, got shape {history.shape}")
         if num_nodes != self.num_nodes:
             raise ValueError(
                 f"history has {num_nodes} nodes, frozen graph has {self.num_nodes}"
@@ -461,6 +316,8 @@ class FrozenRecurrenceKernel:
                 f"history has {channels} channels, encoder expects "
                 f"{self.encoder[0].input_dim}"
             )
+        if batch == 0:
+            return np.empty((0, self.horizon, num_nodes, self.prediction_dim), self.dtype)
         with self._lock:
             ws = self._workspaces.get(batch)
             if ws is None:
@@ -472,24 +329,26 @@ class FrozenRecurrenceKernel:
                 # LRU: re-insert so the oldest unpinned key stays first
                 self._workspaces[batch] = self._workspaces.pop(batch)
 
-            # Node-major view of the request: (T, N, B, C).
-            history_nm = np.ascontiguousarray(history.transpose(1, 2, 0, 3))
-            input_stacks = self._precompute_encoder_inputs(history_nm)
-            for h_states in ws.h_states:
-                h_states[0][...] = 0.0
+            h = self.hidden_dim
+            # Feature-major view of the request: (T, C, B, N).
+            history_fm = np.ascontiguousarray(history.transpose(1, 3, 0, 2))
+            for cell, stack in zip(self.encoder, ws.encoder_stacks):
+                stack[cell.input_dim : cell.input_dim + h] = 0.0
             for t in range(steps):
-                self._step(self.encoder, ws, None, input_stacks[t], None)
+                self._step(self.encoder, ws.encoder_stacks, ws, history_fm[t], None)
 
-            np.copyto(ws.decoder_input, history_nm[-1, :, :, : self.output_dim])
-            current_input: np.ndarray = ws.decoder_input
+            for enc, dec, enc_stack, dec_stack in zip(
+                self.encoder, self.decoder, ws.encoder_stacks, ws.decoder_stacks
+            ):
+                np.copyto(dec_stack[dec.input_dim : dec.input_dim + h],
+                          enc_stack[enc.input_dim : enc.input_dim + h])
+            current_input = history_fm[-1, : self.output_dim]
             feedback = slice(self._feedback_start, self._feedback_start + self.output_dim)
             for step in range(self.horizon):
-                self._step(self.decoder, ws, current_input, None, ws.predictions[step])
-                # Quantile heads feed only the median columns back (a view —
-                # the x-stack fill copies from it anyway).
-                current_input = ws.predictions[step][..., feedback]
-            # Back to batch-major (B, horizon, N, output_dim); always a copy
-            # so the caller never aliases the reused workspace
-            # (ascontiguousarray would skip the copy for singleton
-            # batch/output axes).
-            return ws.predictions.transpose(2, 0, 1, 3).copy()
+                self._step(self.decoder, ws.decoder_stacks, ws, current_input,
+                           ws.predictions[step])
+                # Quantile heads feed only the median rows back.
+                current_input = ws.predictions[step][feedback]
+            # Back to batch-major (B, horizon, N, P); always a copy so the
+            # caller never aliases the reused workspace.
+            return ws.predictions.transpose(2, 0, 3, 1).copy()

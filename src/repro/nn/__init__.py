@@ -10,25 +10,23 @@ implementations:
   :class:`Dropout`, :class:`LayerNorm`, :class:`BatchNorm1d`,
   :class:`GRUCell`, :class:`LSTMCell`, :class:`MultiHeadAttention`,
   :class:`Conv1d`, :class:`FeedForward`.
-* Losses: MAE / MSE / Huber / MAPE, with masked variants following the
+* Losses: MAE / MSE / pinball, with masked variants following the
   missing-data convention of the traffic-forecasting literature.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList, Sequential
 from repro.nn.linear import Linear, FeedForward
 from repro.nn.embedding import Embedding
-from repro.nn.activations import ReLU, Sigmoid, Tanh, LeakyReLU
+from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.dropout import Dropout
 from repro.nn.normalization import BatchNorm1d, LayerNorm
-from repro.nn.rnn import GRUCell, LSTMCell, RNNCell, GRU, LSTM
+from repro.nn.rnn import GRUCell, LSTMCell, GRU, LSTM
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.nn.conv import Conv1d, CausalConv1d, GatedTemporalConv
 from repro.nn import init
 from repro.nn.loss import (
     l1_loss,
     mse_loss,
-    huber_loss,
-    mape_loss,
     pinball_loss,
     masked_pinball,
     masked_mae,
@@ -37,7 +35,6 @@ from repro.nn.loss import (
     masked_mape,
     L1Loss,
     MSELoss,
-    HuberLoss,
 )
 
 __all__ = [
@@ -51,11 +48,9 @@ __all__ = [
     "ReLU",
     "Sigmoid",
     "Tanh",
-    "LeakyReLU",
     "Dropout",
     "LayerNorm",
     "BatchNorm1d",
-    "RNNCell",
     "GRUCell",
     "LSTMCell",
     "GRU",
@@ -68,8 +63,6 @@ __all__ = [
     "init",
     "l1_loss",
     "mse_loss",
-    "huber_loss",
-    "mape_loss",
     "pinball_loss",
     "masked_pinball",
     "masked_mae",
@@ -78,5 +71,4 @@ __all__ = [
     "masked_mape",
     "L1Loss",
     "MSELoss",
-    "HuberLoss",
 ]

@@ -25,14 +25,3 @@ class Sigmoid(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
-
-
-class LeakyReLU(Module):
-    """Leaky rectified linear unit with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Glorot/Xavier, Kaiming/He, uniform, constant).
+"""Weight initialisation schemes (Glorot/Xavier uniform, uniform, constant).
 
 Every initialiser returns an array in the engine's policy dtype
 (:func:`repro.tensor.get_default_dtype`) unless an explicit ``dtype`` is
@@ -33,21 +33,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float
     """Glorot & Bengio (2010) uniform initialisation."""
     fan_in, fan_out = _fan_in_out(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return _cast(rng.uniform(-bound, bound, size=shape), dtype)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0,
-                  dtype=None) -> np.ndarray:
-    """Glorot & Bengio (2010) normal initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return _cast(rng.normal(0.0, std, size=shape), dtype)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, dtype=None) -> np.ndarray:
-    """He et al. (2015) uniform initialisation for ReLU networks."""
-    fan_in, _ = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / fan_in)
     return _cast(rng.uniform(-bound, bound, size=shape), dtype)
 
 

@@ -1,4 +1,4 @@
-"""Forecasting losses: MAE, MSE, Huber, MAPE, and masked variants.
+"""Forecasting losses: MAE, MSE, pinball, and masked variants.
 
 The traffic-forecasting literature (DCRNN, Graph WaveNet, SAGDFN) treats
 zero readings as missing values and excludes them from both the training
@@ -29,25 +29,6 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     prediction, target = _as_tensor(prediction), _as_tensor(target)
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear for residuals larger than ``delta``."""
-    prediction, target = _as_tensor(prediction), _as_tensor(target)
-    diff = (prediction - target).abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * diff - 0.5 * delta * delta
-    mask = diff.data <= delta
-    from repro.tensor import where
-
-    return where(mask, quadratic, linear).mean()
-
-
-def mape_loss(prediction: Tensor, target: Tensor, epsilon: float = 1e-5) -> Tensor:
-    """Mean absolute percentage error (targets close to zero are floored)."""
-    prediction, target = _as_tensor(prediction), _as_tensor(target)
-    denominator = Tensor(np.maximum(np.abs(target.data), epsilon))
-    return ((prediction - target).abs() / denominator).mean()
 
 
 def _quantile_array(quantiles) -> np.ndarray:
@@ -167,14 +148,3 @@ class MSELoss(Module):
 
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
         return mse_loss(prediction, target)
-
-
-class HuberLoss(Module):
-    """Module wrapper around :func:`huber_loss`."""
-
-    def __init__(self, delta: float = 1.0):
-        super().__init__()
-        self.delta = delta
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return huber_loss(prediction, target, delta=self.delta)

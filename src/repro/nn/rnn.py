@@ -1,4 +1,4 @@
-"""Recurrent cells and sequence layers (RNN / GRU / LSTM).
+"""Recurrent cells and sequence layers (GRU / LSTM).
 
 The paper's forecasting module is a GRU whose dense matrix multiplications
 are replaced by the fast graph convolution (``OneStepFastGConv``); the plain
@@ -13,19 +13,6 @@ import numpy as np
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.tensor import Tensor, concat
-
-
-class RNNCell(Module):
-    """Vanilla Elman recurrence ``h' = tanh(W [x, h] + b)``."""
-
-    def __init__(self, input_size: int, hidden_size: int, seed: int | None = None):
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.transform = Linear(input_size + hidden_size, hidden_size, seed=seed)
-
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        return self.transform(concat([x, h], axis=-1)).tanh()
 
 
 class GRUCell(Module):

@@ -419,6 +419,8 @@ class ForecastService:
             raise ValueError(
                 f"history must be (batch, steps, nodes, channels), got shape {history.shape}"
             )
+        if history.shape[1] == 0:
+            raise ValueError(f"history has no time steps, got shape {history.shape}")
         if mask is not None:
             if not self.mask_input:
                 raise ValueError("model was not trained with mask_input; drop the mask")

@@ -266,15 +266,18 @@ class TestServingKernel:
             assert service.predict(x).dtype == np.float32
             assert _max_rel(service.predict(x), fallback.predict(x)) <= F32_REL
 
-    def test_kernel_workspace_reuse_is_deterministic(self, rng):
+    @pytest.mark.parametrize("batch", [2, 8])
+    def test_kernel_workspace_reuse_is_deterministic(self, rng, batch):
         service = ForecastService(_model())
-        x = rng.normal(size=(2, 4, 22, 2))
+        x = rng.normal(size=(batch, 4, 22, 2))
         first = service.predict(x)
         second = service.predict(x)
         assert np.array_equal(first, second)
-        # different batch size allocates a fresh workspace, same rows agree
-        one = service.predict(x[:1])
-        assert _max_rel(one, first[:1]) <= F64_REL
+        # Batch 1 has its own workspace; every row of the batch forecast
+        # must still be that row's batch-1 forecast.
+        for row in range(batch):
+            one = service.predict(x[row : row + 1])
+            assert _max_rel(first[row : row + 1], one) <= F64_REL
 
     def test_kernel_output_is_not_aliased_to_workspace(self, rng):
         service = ForecastService(_model())
@@ -296,6 +299,41 @@ class TestServingKernel:
                 Tensor(x), Tensor(dense), None, degree_scale=Tensor(scale)
             ).data
         assert _max_rel(kernel(x), module) <= F64_REL
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_kernel_matches_module_forward_with_equal_widths(self, rng, num_layers):
+        """input_dim == output_dim: encoder and decoder stacks have the same
+        shape, and the decoder still starts from the encoder's hidden rows."""
+        forecaster = SAGDFNEncoderDecoder(input_dim=1, hidden_dim=6, horizon=3,
+                                          num_layers=num_layers, seed=4)
+        adjacency = rng.random((10, 3))
+        index_set = np.array([1, 4, 8])
+        scale = 1.0 / (adjacency.sum(axis=-1, keepdims=True) + 1.0)
+        kernel = FrozenRecurrenceKernel(forecaster, adjacency, index_set, scale)
+        x = rng.normal(size=(2, 4, 10, 1))
+        forecaster.eval()
+        with no_grad():
+            module = forecaster(
+                Tensor(x), Tensor(adjacency), index_set, degree_scale=Tensor(scale)
+            ).data
+        assert _max_rel(kernel(x), module) <= F64_REL
+
+    def test_kernel_empty_batch_matches_module_forward(self, rng):
+        """An empty batch is the module path's empty forecast, shape and dtype;
+        a history without time steps is refused with its shape named."""
+        model = _model()
+        service = ForecastService(model)
+        x = rng.normal(size=(0, 4, 22, 2))
+        with no_grad():
+            expected = model.forecaster(
+                Tensor(x), service._adjacency_tensor, service.frozen.index_set,
+                degree_scale=service._degree_scale_tensor,
+            ).data
+        empty = service._kernel(x)
+        assert empty.shape == expected.shape == (0, 3, 22, 1)
+        assert empty.dtype == expected.dtype
+        with pytest.raises(ValueError, match=r"\(1, 0, 22, 2\)"):
+            service._kernel(rng.normal(size=(1, 0, 22, 2)))
 
     def test_kernel_validates_shapes(self, rng):
         service = ForecastService(_model())

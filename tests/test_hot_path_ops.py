@@ -4,7 +4,7 @@ Two groups of raw-ndarray ops carry the serving and attention hot paths:
 
 * the in-place serving-kernel ops of :mod:`repro.core.serving_kernel`
   (``_diffusion_aggregate_``, ``_fused_gru_gates_``, ``_fused_gru_update_``,
-  ``_stack_with_bias``) replay, on node-major workspaces, what the autograd
+  ``_stack_with_bias``) replay, on feature-major workspaces, what the autograd
   :class:`~repro.core.gconv.FastGraphConv` / :class:`OneStepFastGConvCell`
   expressions compute on batch-major tensors;
 * the tiled pair scoring of :mod:`repro.core.attention`
@@ -69,21 +69,26 @@ def _graph(rng, num_nodes, num_significant, slim, dtype="float64"):
     return adjacency.astype(dtype), index_set, scale.astype(dtype)
 
 
-def _autograd_hop(adjacency, previous_nm, index_set, scale):
-    """One ``FastGraphConv`` diffusion hop, fed and returned node-major."""
-    channels = previous_nm.shape[-1]
+def _autograd_hop(adjacency, previous_fm, index_set, scale):
+    """One ``FastGraphConv`` diffusion hop, fed and returned feature-major."""
+    channels = previous_fm.shape[0]
     conv = FastGraphConv(channels, channels, diffusion_steps=2, seed=0)
-    batch_major = np.ascontiguousarray(previous_nm.transpose(1, 0, 2))
+    batch_major = np.ascontiguousarray(previous_fm.transpose(1, 2, 0))
     with no_grad():
         states = conv.diffusion_states(
             Tensor(batch_major), Tensor(adjacency), index_set,
             degree_scale=Tensor(scale),
         )
-    return states[1].data.transpose(1, 0, 2)
+    return states[1].data.transpose(2, 0, 1)
 
 
-def _gather(previous_nm, index_set, axis=0):
-    return previous_nm if index_set is None else np.take(previous_nm, index_set, axis=axis)
+def _kernel_hop(adjacency, previous_fm, index_set, scale):
+    """The serving kernel's hop: gather node columns, then the ``Aᵀ`` gemm."""
+    gathered = previous_fm if index_set is None else np.take(previous_fm, index_set, axis=-1)
+    out = np.empty_like(previous_fm)
+    _diffusion_aggregate_(np.ascontiguousarray(adjacency.T), gathered, previous_fm,
+                          scale.reshape(-1), out)
+    return out
 
 
 class TestDiffusionAggregate:
@@ -92,57 +97,46 @@ class TestDiffusionAggregate:
     def test_step_matches_autograd_hop(self, rng, shape, slim):
         num_nodes, num_significant, batch, channels = shape
         adjacency, index_set, scale = _graph(rng, num_nodes, num_significant, slim)
-        previous = rng.normal(size=(num_nodes, batch, channels))
-        out = np.empty_like(previous)
-        _diffusion_aggregate_(adjacency, _gather(previous, index_set), previous,
-                              scale.reshape(num_nodes, 1, 1), out)
+        previous = rng.normal(size=(channels, batch, num_nodes))
+        out = _kernel_hop(adjacency, previous, index_set, scale)
         expected = _autograd_hop(adjacency, previous, index_set, scale)
         assert _max_rel(out, expected) <= F64_REL
 
     @pytest.mark.parametrize("shape", AGGREGATE_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_strided_target_through_gemm_scratch(self, rng, shape):
-        """Hop blocks of an x-stack are strided views: the gemm lands in the
-        contiguous scratch first, with the same result as a contiguous target
-        and without touching the neighbouring blocks of the stack."""
+    def test_writes_next_block_of_a_stack(self, rng, shape):
+        """Hop blocks of a layer stack are contiguous row ranges: the gemm
+        writes block j+1 in place, with the same result as a fresh target
+        and without touching block j or the trailing ones row."""
         num_nodes, num_significant, batch, channels = shape
         adjacency, index_set, scale = _graph(rng, num_nodes, num_significant, True)
-        scale = scale.reshape(num_nodes, 1, 1)
-        stack = rng.normal(size=(num_nodes, batch, 2 * channels + 1))
-        stack[..., -1] = 1.0
+        stack = rng.normal(size=(2 * channels + 1, batch, num_nodes))
+        stack[-1] = 1.0
         before = stack.copy()
-        previous = stack[..., :channels]
-        contiguous = np.empty((num_nodes, batch, channels))
-        _diffusion_aggregate_(adjacency, _gather(previous, index_set), previous,
-                              scale, contiguous)
-        _diffusion_aggregate_(adjacency, _gather(previous, index_set), previous,
-                              scale, stack[..., channels : 2 * channels],
-                              gemm_out=np.empty((num_nodes, batch, channels)))
-        assert np.array_equal(stack[..., channels : 2 * channels], contiguous)
-        assert np.array_equal(stack[..., :channels], before[..., :channels])
-        assert np.array_equal(stack[..., -1], before[..., -1])
+        previous = stack[:channels]
+        _diffusion_aggregate_(np.ascontiguousarray(adjacency.T),
+                              np.take(previous, index_set, axis=-1), previous,
+                              scale.reshape(-1), stack[channels : 2 * channels])
+        fresh = _kernel_hop(adjacency, before[:channels], index_set, scale)
+        assert np.array_equal(stack[channels : 2 * channels], fresh)
+        assert np.array_equal(stack[:channels], before[:channels])
+        assert np.array_equal(stack[-1], before[-1])
 
-    @pytest.mark.parametrize("steps", [1, 3, 6])
-    def test_whole_history_matches_per_step(self, rng, steps):
-        """The (T, N, B, C) precompute is the per-step hop applied to every step."""
-        num_nodes, num_significant, batch, channels = 11, 4, 3, 2
-        adjacency, index_set, scale = _graph(rng, num_nodes, num_significant, True)
-        scale = scale.reshape(num_nodes, 1, 1)
-        previous = rng.normal(size=(steps, num_nodes, batch, channels))
-        batched = np.empty_like(previous)
-        _diffusion_aggregate_(adjacency, _gather(previous, index_set, axis=1),
-                              previous, scale, batched)
-        for t in range(steps):
-            single = np.empty_like(previous[t])
-            _diffusion_aggregate_(adjacency, _gather(previous[t], index_set),
-                                  previous[t], scale, single)
-            assert _max_rel(batched[t], single) <= F64_REL
+    @pytest.mark.parametrize("slim", [True, False], ids=["slim", "dense"])
+    def test_input_and_hidden_share_one_hop(self, rng, slim):
+        """The input rows are diffused with the hidden rows by one gemm; each
+        part of the joint hop is the autograd hop of that part alone."""
+        num_nodes, num_significant, batch, input_dim, hidden = 13, 5, 3, 2, 4
+        adjacency, index_set, scale = _graph(rng, num_nodes, num_significant, slim)
+        block = rng.normal(size=(input_dim + hidden, batch, num_nodes))
+        joint = _kernel_hop(adjacency, block, index_set, scale)
+        for rows in (slice(0, input_dim), slice(input_dim, None)):
+            expected = _autograd_hop(adjacency, block[rows], index_set, scale)
+            assert _max_rel(joint[rows], expected) <= F64_REL
 
     def test_float32_states_stay_float32(self, rng):
         adjacency, index_set, scale = _graph(rng, 12, 5, True, dtype="float32")
-        previous = rng.normal(size=(12, 3, 4)).astype(np.float32)
-        out = np.empty_like(previous)
-        _diffusion_aggregate_(adjacency, _gather(previous, index_set), previous,
-                              scale.reshape(12, 1, 1), out)
+        previous = rng.normal(size=(4, 3, 12)).astype(np.float32)
+        out = _kernel_hop(adjacency, previous, index_set, scale)
         assert out.dtype == np.float32
         expected = _autograd_hop(adjacency.astype(np.float64), previous.astype(np.float64),
                                  index_set, scale.astype(np.float64))

@@ -9,7 +9,6 @@ from repro.nn import (
     Embedding,
     FeedForward,
     LayerNorm,
-    LeakyReLU,
     Linear,
     ReLU,
     Sigmoid,
@@ -150,7 +149,7 @@ class TestNormalisation:
 class TestActivationModules:
     def test_each_activation_shape_preserving(self, rng):
         x = Tensor(rng.normal(size=(3, 4)))
-        for module in (ReLU(), Tanh(), Sigmoid(), LeakyReLU(0.2)):
+        for module in (ReLU(), Tanh(), Sigmoid()):
             assert module(x).shape == (3, 4)
 
     def test_relu_module_matches_method(self, rng):

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    HuberLoss,
     L1Loss,
     MSELoss,
-    huber_loss,
     l1_loss,
-    mape_loss,
     masked_mae,
     masked_mape,
     masked_mse,
@@ -28,19 +25,6 @@ class TestPlainLosses:
         p, t = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         assert mse_loss(Tensor(p), Tensor(t)).item() == pytest.approx(((p - t) ** 2).mean())
 
-    def test_huber_quadratic_inside_delta(self):
-        loss = huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0)
-        assert loss.item() == pytest.approx(0.125)
-
-    def test_huber_linear_outside_delta(self):
-        loss = huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0)
-        assert loss.item() == pytest.approx(1.0 * 3.0 - 0.5)
-
-    def test_mape_scale_invariance(self, rng):
-        t = np.abs(rng.normal(size=(3, 4))) + 1.0
-        p = t * 1.1
-        assert mape_loss(Tensor(p), Tensor(t)).item() == pytest.approx(0.1, rel=1e-6)
-
     def test_zero_loss_for_perfect_prediction(self, rng):
         t = rng.normal(size=(4, 4))
         assert l1_loss(Tensor(t.copy()), Tensor(t)).item() == pytest.approx(0.0)
@@ -50,7 +34,6 @@ class TestPlainLosses:
         p, t = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3)))
         assert L1Loss()(p, t).item() == pytest.approx(l1_loss(p, t).item())
         assert MSELoss()(p, t).item() == pytest.approx(mse_loss(p, t).item())
-        assert HuberLoss(0.5)(p, t).item() == pytest.approx(huber_loss(p, t, 0.5).item())
 
 
 class TestMaskedLosses:

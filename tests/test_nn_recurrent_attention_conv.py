@@ -12,18 +12,12 @@ from repro.nn import (
     LSTM,
     LSTMCell,
     MultiHeadAttention,
-    RNNCell,
     scaled_dot_product_attention,
 )
 from repro.tensor import Tensor, check_gradients
 
 
 class TestRecurrentCells:
-    def test_rnn_cell_shape(self, rng):
-        cell = RNNCell(3, 5)
-        h = cell(Tensor(rng.normal(size=(4, 3))), Tensor(np.zeros((4, 5))))
-        assert h.shape == (4, 5)
-
     def test_gru_cell_shape_and_initial_state(self, rng):
         cell = GRUCell(3, 6, seed=0)
         h0 = cell.initial_state(4)

@@ -99,6 +99,20 @@ class TestForecastService:
         with pytest.raises(ValueError):
             service.predict_one(batch_x)  # extra batch dimension
 
+    @pytest.mark.parametrize("use_kernel", [True, False], ids=["kernel", "module"])
+    def test_empty_requests(self, trained, use_kernel):
+        """An empty batch is served as an empty forecast on both paths; a
+        history without time steps is refused with its shape named."""
+        _, _, data, bundle_path = trained
+        service = ForecastService.from_checkpoint(bundle_path, use_kernel=use_kernel)
+        batch_x, _ = next(iter(data.test_loader))
+        _, steps, nodes, channels = batch_x.shape
+        empty = service.predict(batch_x[:0])
+        assert empty.shape == (0, service.config["horizon"], nodes, 1)
+        assert empty.dtype == service.predict(batch_x[:1]).dtype
+        with pytest.raises(ValueError, match=rf"\(2, 0, {nodes}, {channels}\)"):
+            service.predict(batch_x[:2, :0])
+
     def test_request_counter(self, trained):
         model, _, data, _ = trained
         service = ForecastService(model, scaler=data.scaler)

@@ -82,10 +82,9 @@ class TestThreadedThroughComponents:
         rng = np.random.default_rng(0)
         with default_dtype(np.float32):
             assert init.xavier_uniform((3, 4), rng).dtype == np.float32
-            assert init.kaiming_uniform((3, 4), rng).dtype == np.float32
             assert init.zeros((2,)).dtype == np.float32
             assert init.ones((2,)).dtype == np.float32
-        assert init.xavier_normal((3, 4), rng).dtype == np.float64
+        assert init.xavier_uniform((3, 4), rng).dtype == np.float64
         assert init.uniform((3,), rng, dtype=np.float32).dtype == np.float32
 
     def test_linear_parameters_follow_policy(self):
