@@ -21,15 +21,17 @@ def record_regenerated_tables(request, capsys):
     """Persist each benchmark's printed table/figure under ``benchmarks/results/``.
 
     pytest captures stdout, so the regenerated tables would otherwise be
-    invisible in a default ``--benchmark-only`` run; this fixture writes them
-    to one text file per benchmark (consumed by EXPERIMENTS.md) and re-emits
-    them so ``-s`` runs still show them inline.
+    invisible in a ``--benchmark-only`` run; that run writes them to one text
+    file per benchmark (consumed by EXPERIMENTS.md).  Any other run — the
+    plain test suite included — leaves the tracked files alone.  The tables
+    are re-emitted either way so ``-s`` runs still show them inline.
     """
     yield
     captured = capsys.readouterr()
     if captured.out.strip():
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{request.node.name}.txt").write_text(captured.out)
+        if request.config.getoption("benchmark_only", default=False):
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{request.node.name}.txt").write_text(captured.out)
         sys.stdout.write(captured.out)
 
 

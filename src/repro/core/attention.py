@@ -25,10 +25,13 @@ by two batched matmuls and normalised by a single α-entmax call.
 The remaining cost is the ``(P, N, M, h)`` hidden activation; at N = 10000 it
 would be gigabytes.  :func:`_batched_pair_scores` therefore tiles the node
 axis (flash-attention style): each tile's hidden activations live in a
-cache-sized scratch buffer and only the ``(P, N, M, 2)`` raw scores are ever
+cache-sized scratch buffer and only the ``(P, 2, N, M)`` raw scores are ever
 materialised.  The backward pass recomputes each tile's activations instead
 of storing them, trading a second cheap pass for an ``O(N·M·h)`` → ``O(N·M)``
-reduction in autograd memory.
+reduction in autograd memory.  The scores are neighbour-last, so α-entmax runs
+over contiguous rows, and plane ``2p + c`` of their ``(2P, N, M)`` view — row
+``2p + c`` of the mixer weight ``W_a`` — is channel ``c`` of head ``p``: the
+head mixer is a weighted sum of planes, with no interleaving copy.
 
 On top of the scratch tiling, the ``chunk_size`` / ``memory_budget_mb``
 knobs (threaded from :class:`~repro.core.config.SAGDFNConfig`) enable the
@@ -78,7 +81,7 @@ def _batched_pair_scores(
     b2: Tensor,
     tile_bytes: int = _TILE_BYTES,
 ) -> Tensor:
-    """Raw pair scores ``(P, N, M, out)`` of all ``P`` scoring FFNs at once.
+    """Raw pair scores ``(P, out, N, M)`` of all ``P`` scoring FFNs at once.
 
     Computes ``relu(E W1_node + E_I W1_neigh + b1) W2 + b2`` for every
     (node, neighbour) pair without materialising either the ``(N, M, 2d)``
@@ -87,7 +90,8 @@ def _batched_pair_scores(
     tile's activations rather than keeping them alive in the graph.  The
     first-layer node projection is evaluated per tile as well, so every BLAS
     call has the same shape no matter how many rows the caller passes — the
-    property the node-tiled scoring mode's bit-identity rests on.
+    property the node-tiled scoring mode's bit-identity rests on.  Each tile
+    writes its ``(P, out, tile·M)`` slab of the neighbour-last output.
     """
     num_nodes, dim = embeddings.shape
     num_significant = neighbour_embeddings.shape[0]
@@ -99,58 +103,48 @@ def _batched_pair_scores(
     w1_node, w1_neigh = w1.data[:, :dim, :], w1.data[:, dim:, :]
     dtype = np.result_type(e.dtype, w1.data.dtype)
 
-    neigh_part = np.matmul(e_i, w1_neigh) + b1.data[:, None, :]  # (P, M, h)
+    # (P, 1, M·h): added to every node row of a tile in one flat pass.
+    neigh_part = (np.matmul(e_i, w1_neigh) + b1.data[:, None, :]).reshape(heads, 1, -1)
 
     tile = min(num_nodes, _tile_rows(heads, num_significant, hidden, dtype.itemsize,
                                      tile_bytes))
 
-    def _tiles(buffer, consume):
-        """Recompute relu(node + neigh) tile-by-tile and hand each to ``consume``."""
+    def _tiles():
+        """Recompute relu(node + neigh) tile by tile as ``(P, tile·M, h)`` rows."""
+        buffer = np.empty((heads, tile, num_significant, hidden), dtype=dtype)
         for start in range(0, num_nodes, tile):
             stop = min(start + tile, num_nodes)
-            node_part = np.matmul(e[start:stop], w1_node)  # (P, tile, h)
             pre = buffer[:, : stop - start]
-            np.add(node_part[:, :, None, :], neigh_part[:, None, :, :], out=pre)
-            np.maximum(pre, 0.0, out=pre)
-            consume(start, stop, pre)
+            pre[...] = np.matmul(e[start:stop], w1_node)[:, :, None, :]
+            flat = pre.reshape(heads, stop - start, -1)
+            flat += neigh_part
+            np.maximum(flat, 0.0, out=flat)
+            yield start, stop, pre.reshape(heads, -1, hidden)
 
-    raw = np.empty((heads, num_nodes, num_significant, out), dtype=dtype)
-    scratch = np.empty((heads, tile, num_significant, hidden), dtype=dtype)
-
-    def _forward_tile(start, stop, pre):
-        rows = (stop - start) * num_significant
-        np.matmul(
-            pre.reshape(heads, rows, hidden),
-            w2.data,
-            out=raw[:, start:stop].reshape(heads, rows, out),
+    raw = np.empty((heads, out, num_nodes, num_significant), dtype=dtype)
+    for start, stop, pre in _tiles():
+        # pre @ W2 plus a transposing copy: the direct W2ᵀ @ preᵀ gemm
+        # (m = out = 2) runs ~3x slower in OpenBLAS.
+        raw[:, :, start:stop].reshape(heads, out, -1)[...] = np.swapaxes(
+            np.matmul(pre, w2.data), -1, -2
         )
-
-    _tiles(scratch, _forward_tile)
-    raw += b2.data[:, None, None, :]
+    raw += b2.data[:, :, None, None]
 
     def backward(grad):
         grad = np.ascontiguousarray(grad, dtype=dtype)
         grad_w2 = np.zeros_like(w2.data)
         grad_node = np.empty((heads, num_nodes, hidden), dtype=dtype)
-        grad_neigh_pre = np.zeros_like(neigh_part)
-        buffer = np.empty((heads, tile, num_significant, hidden), dtype=dtype)
+        grad_neigh_pre = np.zeros((heads, num_significant, hidden), dtype=dtype)
         w2_t = np.ascontiguousarray(np.swapaxes(w2.data, -1, -2))
-
-        def _backward_tile(start, stop, pre):
-            nonlocal grad_w2, grad_neigh_pre
-            rows = (stop - start) * num_significant
-            grad_tile = grad[:, start:stop].reshape(heads, rows, out)
-            grad_w2 += np.matmul(
-                np.swapaxes(pre.reshape(heads, rows, hidden), -1, -2), grad_tile
-            )
-            grad_pre = np.matmul(grad_tile, w2_t).reshape(
-                heads, stop - start, num_significant, hidden
-            )
+        ones = np.ones(num_significant, dtype=dtype)
+        for start, stop, pre in _tiles():
+            grad_tile = np.swapaxes(grad[:, :, start:stop].reshape(heads, out, -1), -1, -2)
+            grad_w2 += np.matmul(np.swapaxes(pre, -1, -2), grad_tile)
+            grad_pre = np.matmul(grad_tile, w2_t)
             grad_pre *= pre > 0.0  # relu mask from the recomputed activations
-            grad_node[:, start:stop] = grad_pre.sum(axis=2)
+            grad_pre = grad_pre.reshape(heads, stop - start, num_significant, hidden)
+            np.matmul(ones, grad_pre, out=grad_node[:, start:stop])  # sum over M
             grad_neigh_pre += grad_pre.sum(axis=1)
-
-        _tiles(buffer, _backward_tile)
 
         grad_e = np.matmul(grad_node, np.swapaxes(w1_node, -1, -2)).sum(axis=0)
         grad_e_i = np.matmul(grad_neigh_pre, np.swapaxes(w1_neigh, -1, -2)).sum(axis=0)
@@ -158,12 +152,30 @@ def _batched_pair_scores(
             [np.matmul(e.T, grad_node), np.matmul(e_i.T, grad_neigh_pre)], axis=1
         )
         grad_b1 = grad_neigh_pre.sum(axis=1)
-        grad_b2 = grad.sum(axis=(1, 2))
+        grad_b2 = grad.sum(axis=(2, 3))
         return grad_e, grad_e_i, grad_w1, grad_b1, grad_w2, grad_b2
 
     return Tensor._make(
         raw, (embeddings, neighbour_embeddings, w1, b1, w2, b2), backward
     )
+
+
+def _mix_heads(normalised: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Eq. 5–6: ``Σ_c W_a[c] · A_c + b`` over the planes ``A_c`` of ``(P·out, n, M)``.
+
+    One elementwise pass per plane, in a fixed order: unlike a BLAS call, no
+    entry's rounding depends on the block size.
+    """
+    planes = normalised.data.reshape(weight.shape[0], -1)  # (2P, n·M) view
+    w = weight.data[:, 0]
+    mixed = sum(w[c] * planes[c] for c in range(len(w))) + bias.data
+
+    def backward(grad):
+        grad = grad.reshape(-1)
+        grad_planes = np.multiply.outer(w, grad).reshape(normalised.shape)
+        return grad_planes, (planes @ grad)[:, None], grad.sum(keepdims=True)
+
+    return Tensor._make(mixed.reshape(normalised.shape[2:]), (normalised, weight, bias), backward)
 
 
 class SparseSpatialMultiHeadAttention(Module):
@@ -253,15 +265,10 @@ class SparseSpatialMultiHeadAttention(Module):
     # Forward passes
     # ------------------------------------------------------------------ #
     # Rough per-node-row scratch cost of one scoring block, in units of
-    # ``heads * num_significant * itemsize`` bytes: the raw 2-channel scores,
-    # the α-entmax solver's sort/cumsum temporaries and the interleaved
-    # multi-head rows come to roughly sixteen 2-channel copies.
+    # ``heads * num_significant * itemsize`` bytes: the raw and normalised
+    # 2-channel scores, the α-entmax solver's sort/cumsum buffers and the
+    # mixer's gradient planes, budgeted as sixteen 2-channel copies.
     _ROW_COST_CHANNELS = 32
-
-    def _grid_rows(self, num_significant: int, itemsize: int) -> int:
-        """Rows per canonical tile of the scoring grid (see ``_TILE_BYTES``)."""
-        return _tile_rows(self.num_heads, num_significant, self.ffn_hidden, itemsize,
-                          self._tile_bytes)
 
     def _node_block(self, num_nodes: int, num_significant: int, itemsize: int) -> int | None:
         """Node-block size of the tiled scoring mode (``None`` = single pass).
@@ -281,21 +288,19 @@ class SparseSpatialMultiHeadAttention(Module):
             requested = int(self.memory_budget_mb * 2**20 // max(1, row_bytes))
         else:
             return None
-        grid = self._grid_rows(num_significant, itemsize)
+        grid = _tile_rows(self.num_heads, num_significant, self.ffn_hidden, itemsize,
+                          self._tile_bytes)
         block = max(1, (max(1, requested) + grid - 1) // grid) * grid
         return None if block >= num_nodes else block
 
     def _score_block(self, node_embeddings: Tensor, neighbour_embeddings: Tensor) -> Tensor:
         """Slim-adjacency rows ``(n_block, M)`` for one block of node embeddings.
 
-        The block must start on a canonical-grid boundary; all shape-sensitive
-        stages (the fused scoring kernel and the head mixer) operate on the
-        same per-tile shapes as the single-pass forward, which is what makes
-        the tiled mode bit-identical.
+        The block must start on a canonical-grid boundary: the fused scoring
+        kernel then issues the same per-tile BLAS calls as the single-pass
+        forward, and the α-entmax and head mixer that follow are row-local,
+        which is what makes the tiled mode bit-identical.
         """
-        num_rows = node_embeddings.shape[0]
-        num_significant = neighbour_embeddings.shape[0]
-        heads, out = self.num_heads, self._HEAD_OUT
         # Eq. 1–2: all P scoring FFNs in one tiled, batched kernel.
         raw = _batched_pair_scores(
             node_embeddings,
@@ -305,33 +310,12 @@ class SparseSpatialMultiHeadAttention(Module):
             self.head_w2,
             self.head_b2,
             tile_bytes=self._tile_bytes,
-        )  # (P, n_block, M, 2)
-
-        # Eq. 3–4: sparsify along the neighbour axis, all heads in one call
-        # (the α-entmax solvers are row-local, hence block-size independent).
-        normalised = alpha_entmax(raw, alpha=self.alpha, axis=2)
-
-        # Eq. 5–6: interleave channels head-by-head — (n_block, M, 2P) in the
-        # [head0-ch0, head0-ch1, head1-ch0, …] layout the mixer's rows follow —
-        # and mix into one correlation strength per pair.
-        # The mixer matmul runs per canonical tile so its call shapes match
-        # between the tiled and single-pass modes.
-        multi_head = normalised.transpose(1, 2, 0, 3).reshape(
-            num_rows, num_significant, out * heads
-        )
-        itemsize = np.result_type(node_embeddings.data.dtype, self.head_w1.data.dtype).itemsize
-        grid = self._grid_rows(num_significant, itemsize)
-        if num_rows <= grid:
-            mixed = self.mixer(multi_head)
-        else:
-            mixed = concat(
-                [
-                    self.mixer(multi_head[start : min(start + grid, num_rows)])
-                    for start in range(0, num_rows, grid)
-                ],
-                axis=0,
-            )
-        return mixed.squeeze(-1)  # (n_block, M)
+        )  # (P, 2, n_block, M)
+        # Eq. 3–4: sparsify along the contiguous neighbour axis, all heads in
+        # one call.
+        normalised = alpha_entmax(raw, alpha=self.alpha, axis=-1)
+        # Eq. 5–6: mix the heads into one correlation strength per pair.
+        return _mix_heads(normalised, self.mixer.weight, self.mixer.bias)
 
     def forward(self, embeddings: Tensor, index_set: np.ndarray) -> Tensor:
         """Return the slim adjacency ``A_s`` of shape ``(N, M)``.
@@ -357,7 +341,7 @@ class SparseSpatialMultiHeadAttention(Module):
 
         itemsize = np.result_type(embeddings.data.dtype, self.head_w1.data.dtype).itemsize
         block = self._node_block(num_nodes, num_significant, itemsize)
-        if block is None or block >= num_nodes:
+        if block is None:
             return self._score_block(embeddings, neighbour_embeddings)
         return concat(
             [

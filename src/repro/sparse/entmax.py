@@ -18,7 +18,9 @@ Two interfaces are offered:
   :class:`repro.tensor.Tensor` with autodiff support.  The backward pass uses
   the analytic Jacobian-vector product
   ``dz = s * (dp - (s . dp) / (s . 1))`` with ``s_i = p_i^{2-α}`` on the
-  support, which holds for every α ≥ 1.
+  support, which holds for every α ≥ 1; at α = 1.5 it is ``s = sqrt(p)``, exact
+  because ``p`` is 0 off the support.  Both passes run fastest along a
+  contiguous last axis.
 """
 
 from __future__ import annotations
@@ -71,26 +73,35 @@ def sparsemax_np(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def entmax15_np(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Exact 1.5-entmax via the sort-based solver of Peters et al. (2019)."""
-    z = _as_float(z) / 2.0
-    z = np.moveaxis(z, axis, -1)
+    """Exact 1.5-entmax via the sort-based solver of Peters et al. (2019),
+    run in place on a ``(rows, k)`` copy of ``z / 2`` and three row buffers."""
+    z = np.moveaxis(_as_float(z), axis, -1)
     shape = z.shape
-    flat = z.reshape(-1, shape[-1])
-    flat = flat - flat.max(axis=-1, keepdims=True)
-    sorted_z = -np.sort(-flat, axis=-1)
-    k_range = np.arange(1, shape[-1] + 1, dtype=z.dtype)
-    mean = np.cumsum(sorted_z, axis=-1) / k_range
-    mean_sq = np.cumsum(sorted_z**2, axis=-1) / k_range
-    ss = k_range * (mean_sq - mean**2)
-    delta = (1.0 - ss) / k_range
-    delta = np.maximum(delta, 0.0)
-    tau = mean - np.sqrt(delta)
-    support = tau <= sorted_z
-    k = support.sum(axis=-1)
-    tau_star = np.take_along_axis(tau, k[:, None] - 1, axis=-1)
-    out = np.maximum(flat - tau_star, 0.0) ** 2
-    out = out / np.maximum(out.sum(axis=-1, keepdims=True), _EPS)
-    return np.moveaxis(out.reshape(shape), -1, axis)
+    flat = z.reshape(-1, shape[-1]) / 2.0
+    sorted_z = np.negative(flat)
+    sorted_z.sort(axis=-1)
+    np.negative(sorted_z, out=sorted_z)  # descending
+    top = sorted_z[:, :1].copy()  # the row max: shifting keeps the sort order
+    flat -= top
+    sorted_z -= top
+    k_range = np.arange(1, shape[-1] + 1, dtype=flat.dtype)
+    tau = np.cumsum(sorted_z, axis=-1)
+    tau /= k_range  # running mean
+    delta = np.square(sorted_z)
+    np.cumsum(delta, axis=-1, out=delta)
+    delta /= k_range  # running mean of squares
+    delta -= np.square(tau)
+    delta *= k_range
+    np.subtract(1.0, delta, out=delta)
+    delta /= k_range
+    np.maximum(delta, 0.0, out=delta)
+    tau -= np.sqrt(delta, out=delta)
+    k = np.count_nonzero(tau <= sorted_z, axis=-1)
+    flat -= np.take_along_axis(tau, k[:, None] - 1, axis=-1)
+    np.maximum(flat, 0.0, out=flat)
+    np.square(flat, out=flat)
+    flat /= np.maximum(flat.sum(axis=-1, keepdims=True), _EPS)
+    return np.moveaxis(flat.reshape(shape), -1, axis)
 
 
 def _entmax_bisect_np(z: np.ndarray, alpha: float, n_iter: int = 60) -> np.ndarray:
@@ -144,15 +155,18 @@ def entmax_support_size(p: np.ndarray, axis: int = -1, tol: float = 1e-9) -> np.
 # --------------------------------------------------------------------------- #
 def _entmax_jvp(p: np.ndarray, grad: np.ndarray, alpha: float, axis: int) -> np.ndarray:
     """Jacobian-vector product of α-entmax evaluated at output ``p``."""
-    support = p > 0.0
     if abs(alpha - 1.0) < 1e-8:
         s = p
+    elif abs(alpha - 1.5) < 1e-8:
+        s = np.sqrt(p)  # exact: p is 0 off the support
     else:
-        s = np.where(support, np.power(np.maximum(p, _EPS), 2.0 - alpha), 0.0)
-    weighted = grad * s
-    denominator = np.maximum(s.sum(axis=axis, keepdims=True), _EPS)
-    correction = weighted.sum(axis=axis, keepdims=True) / denominator
-    return s * (grad - correction)
+        s = np.where(p > 0.0, np.power(np.maximum(p, _EPS), 2.0 - alpha), 0.0)
+    out = grad * s
+    correction = out.sum(axis=axis, keepdims=True)
+    correction /= np.maximum(s.sum(axis=axis, keepdims=True), _EPS)
+    np.subtract(grad, correction, out=out)
+    out *= s
+    return out
 
 
 def alpha_entmax(z: Tensor, alpha: float = 1.5, axis: int = -1) -> Tensor:

@@ -260,8 +260,8 @@ class TestTiledPairScores:
         with no_grad():
             raw = _batched_pair_scores(Tensor(embeddings), Tensor(neighbours), *weights,
                                        tile_bytes=tile_bytes).data
-        assert raw.shape == (3, 14, 5, 2)
-        expected = _dense_pair_scores(embeddings, neighbours, weights)
+        assert raw.shape == (3, 2, 14, 5)
+        expected = _dense_pair_scores(embeddings, neighbours, weights).transpose(0, 3, 1, 2)
         assert _max_rel(raw, expected) <= F64_REL
 
     @pytest.mark.parametrize("tile_bytes", [1, 3 * _ROW_BYTES, _TILE_BYTES],
@@ -270,7 +270,7 @@ class TestTiledPairScores:
         """The backward recomputes each tile's activations and relu mask; it
         must give the gradients autograd derives for the dense expression."""
         embeddings, neighbours, weights = _scoring_inputs(rng)
-        upstream = Tensor(rng.normal(size=(3, 14, 5, 2)))
+        upstream = Tensor(rng.normal(size=(3, 14, 5, 2)).transpose(0, 3, 1, 2))
 
         def grads(score):
             e = Tensor(embeddings, requires_grad=True)
@@ -288,7 +288,7 @@ class TestTiledPairScores:
             neigh = e_i.matmul(w1[:, dim:, :]).reshape(heads, 1, 5, hidden)
             act = (node + neigh + b1.reshape(heads, 1, 1, hidden)).relu()
             raw = act.reshape(heads, 14 * 5, hidden).matmul(w2) + b2.reshape(heads, 1, 2)
-            return raw.reshape(heads, 14, 5, 2)
+            return raw.reshape(heads, 14, 5, 2).transpose(0, 3, 1, 2)
 
         tiled = grads(lambda e, e_i: _batched_pair_scores(e, e_i, *weights,
                                                           tile_bytes=tile_bytes))

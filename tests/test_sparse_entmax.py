@@ -16,7 +16,41 @@ from repro.sparse import (
     sparsemax,
     sparsemax_np,
 )
+from repro.sparse.entmax import _EPS, _entmax_jvp
 from repro.tensor import Tensor, check_gradients
+
+
+def _entmax15_reference(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sort-based 1.5-entmax of Peters et al. (2019), one temporary per step.
+
+    The straightforward form of the solver :func:`entmax15_np` runs in place:
+    running mean and mean of squares of the descending sort, the threshold
+    ``τ_k = mean_k - sqrt(max(0, (1 - k·(meansq_k - mean_k²)) / k))`` and the
+    support size ``k* = #{k : τ_k <= z_(k)}``.
+    """
+    z = np.asarray(z) / 2.0
+    z = np.moveaxis(z, axis, -1)
+    shape = z.shape
+    flat = z.reshape(-1, shape[-1])
+    flat = flat - flat.max(axis=-1, keepdims=True)
+    sorted_z = -np.sort(-flat, axis=-1)
+    k_range = np.arange(1, shape[-1] + 1, dtype=z.dtype)
+    mean = np.cumsum(sorted_z, axis=-1) / k_range
+    mean_sq = np.cumsum(sorted_z**2, axis=-1) / k_range
+    ss = k_range * (mean_sq - mean**2)
+    delta = (1.0 - ss) / k_range
+    delta = np.maximum(delta, 0.0)
+    tau = mean - np.sqrt(delta)
+    support = tau <= sorted_z
+    k = support.sum(axis=-1)
+    tau_star = np.take_along_axis(tau, k[:, None] - 1, axis=-1)
+    out = np.maximum(flat - tau_star, 0.0) ** 2
+    out = out / np.maximum(out.sum(axis=-1, keepdims=True), _EPS)
+    return np.moveaxis(out.reshape(shape), -1, axis)
+
+
+def _max_rel(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-30))
 
 
 class TestForwardCorrectness:
@@ -69,6 +103,60 @@ class TestForwardCorrectness:
     def test_invalid_alpha_raises(self):
         with pytest.raises(ValueError):
             alpha_entmax_np(np.zeros(3), alpha=0.5)
+
+
+class TestEntmax15Solver:
+    """The in-place solver against the reference form, on every axis layout."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_matches_reference_float64(self, rng, axis):
+        z = rng.normal(size=(3, 4, 5, 6)) * 3.0
+        assert _max_rel(entmax15_np(z, axis=axis), _entmax15_reference(z, axis=axis)) <= 1e-12
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_matches_reference_float32(self, rng, axis):
+        z = (rng.normal(size=(3, 4, 5, 6)) * 3.0).astype(np.float32)
+        p = entmax15_np(z, axis=axis)
+        assert p.dtype == np.float32
+        np.testing.assert_allclose(p, _entmax15_reference(z, axis=axis), rtol=0, atol=1e-6)
+
+    def test_non_contiguous_view(self, rng):
+        z = (rng.normal(size=(6, 4, 10, 5)) * 3.0).transpose(2, 0, 3, 1)[::2]
+        assert not z.flags.c_contiguous
+        for axis in (1, -1):
+            assert _max_rel(entmax15_np(z, axis=axis), _entmax15_reference(z, axis=axis)) <= 1e-12
+
+    def test_ties_and_shift(self, rng):
+        z = np.round(rng.normal(size=(20, 7)) * 2.0) + 100.0
+        assert _max_rel(entmax15_np(z), _entmax15_reference(z)) <= 1e-12
+
+
+class TestEntmax15Jvp:
+    def test_sqrt_form_is_exact(self, rng):
+        """At α = 1.5 the JVP weights are ``p ** 0.5`` on the support — also
+        for support entries below ``_EPS``, which no clamp may lift."""
+        p = np.array([[0.7, 0.3 - 2e-14, 1e-14, 1e-14, 0.0],
+                      [1.0, 0.0, 0.0, 0.0, 0.0]])
+        p = np.concatenate([p, entmax15_np(rng.normal(size=(4, 5)) * 3.0)])
+        assert ((p > 0.0) & (p < _EPS)).any()
+        grad = rng.normal(size=p.shape)
+        s = p**0.5
+        expected = s * (grad - (s * grad).sum(-1, keepdims=True) / s.sum(-1, keepdims=True))
+        np.testing.assert_allclose(_entmax_jvp(p, grad, 1.5, -1), expected, rtol=1e-12,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_gradients_match_finite_differences_float64(self, rng, axis):
+        z = Tensor(rng.normal(size=(3, 6, 4)) * 2.0, requires_grad=True)
+        multiplier = Tensor(rng.normal(size=(3, 6, 4)))
+        assert z.dtype == np.float64
+        assert check_gradients(
+            lambda x: alpha_entmax(x, alpha=1.5, axis=axis) * multiplier,
+            [z],
+            atol=1e-7,
+            rtol=1e-5,
+            epsilon=1e-6,
+        )
 
 
 class TestSparsity:
