@@ -462,7 +462,7 @@ def bench_cluster(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
     synthetic windows through a :class:`~repro.serve.ServingCluster` at
     each worker count.  All windows are submitted up front (concurrent
     load — the asyncio-front-door pattern), so per-request latency
-    includes queueing behind the micro-batchers, which is what a caller
+    includes queueing in the admission queue, which is what a caller
     of a saturated cluster actually observes.  ``scaling_efficiency`` is
     ``throughput / (workers * single_worker_throughput)`` — 1.0 is ideal
     linear scaling; a single-core host pins every worker to the same core
@@ -774,8 +774,8 @@ def bench_faults(num_nodes, m, heads, embedding_dim, ffn_hidden, hidden,
         workers=workers, seed=seed,
         # The schedule is keyed by per-worker served *jobs*; max_batch=1
         # keeps jobs == requests, and halving the per-worker share keeps
-        # every kill ordinal inside the burst even when re-dispatches skew
-        # the round-robin split.
+        # every kill ordinal inside the burst even when the workers pull
+        # uneven shares of it.
         horizon=max(2, requests // (2 * workers)),
         kills_per_worker=1,
     )

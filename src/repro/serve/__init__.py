@@ -14,11 +14,12 @@ package exploits that:
   ``max_batch`` / ``max_wait_ms``) into one batched forward, trading a few
   milliseconds of queueing delay for much higher throughput.
 * :class:`ServingCluster` replicates the frozen kernel across worker
-  processes (shared-memory request rings, per-worker micro-batching, an
-  asyncio front door) for multi-core throughput on one host — with a
-  supervisor that respawns dead workers (exponential backoff, crash-loop
-  circuit breaker), per-request deadlines and a bounded admission
-  watermark (typed :class:`Overloaded` / :class:`DeadlineExceeded`
+  processes (shared-memory request rings, one admission queue that every
+  worker's puller takes micro-batches from, an asyncio front door) for
+  multi-core throughput on one host — with a supervisor that respawns dead
+  workers (exponential backoff, crash-loop circuit breaker), requeueing of
+  batches a dead worker never started, per-request deadlines and a bounded
+  admission watermark (typed :class:`Overloaded` / :class:`DeadlineExceeded`
   shedding), CRC-checked response rings, and a deterministic
   :class:`FaultPlan` chaos harness (:mod:`repro.serve.faults`).
 * :mod:`repro.serve.online` adds the stateful half: per-client

@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes; >1 replicates the frozen kernel "
                              "across a same-host ServingCluster (shared-memory "
-                             "request rings, one micro-batcher per worker)")
+                             "request rings, one admission queue every worker "
+                             "pulls from)")
     parser.add_argument("--max-batch", type=int, default=8,
                         help="micro-batching: largest coalesced batch")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -58,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "still queued this many seconds after submission is "
                              "shed before it reaches the kernel")
     parser.add_argument("--max-pending", type=int, default=None,
-                        help="admission control: per-worker pending-queue "
-                             "watermark; beyond it new requests are rejected "
-                             "with a typed Overloaded error instead of queueing")
+                        help="admission control: pending-queue watermark "
+                             "(the whole queue, shared by every worker); beyond "
+                             "it new requests are rejected with a typed "
+                             "Overloaded error instead of queueing")
     parser.add_argument("--no-freeze", action="store_true",
                         help="re-derive the graph on every request (debugging only)")
     parser.add_argument("--chunk-size", type=int, default=None,
@@ -177,14 +179,16 @@ def _report(num_served: int, predictions: np.ndarray, elapsed: float,
 
 
 def _submit_and_gather(submit, windows: np.ndarray, deadline_s: float | None):
-    """Submit every window, tolerating typed admission-control errors.
+    """Submit every window, counting typed failures instead of raising.
 
-    Returns ``(results, rejected, shed)``: predictions of the requests
-    that made it through, plus the counts rejected at the watermark
-    (:class:`Overloaded`) and shed at their deadline
-    (:class:`DeadlineExceeded`).
+    Returns ``(results, rejected, shed, failed)``: predictions of the
+    requests that made it through, plus the counts rejected at the
+    watermark (:class:`Overloaded`), shed at their deadline
+    (:class:`DeadlineExceeded`) and failed by the cluster
+    (:class:`ClusterError`).
     """
     from repro.serve.batching import DeadlineExceeded, Overloaded
+    from repro.serve.cluster import ClusterError
 
     futures = []
     rejected = 0
@@ -194,13 +198,23 @@ def _submit_and_gather(submit, windows: np.ndarray, deadline_s: float | None):
         except Overloaded:
             rejected += 1
     results = []
-    shed = 0
+    shed = failed = 0
     for future in futures:
         try:
             results.append(future.result())
         except DeadlineExceeded:
             shed += 1
-    return results, rejected, shed
+        except ClusterError:
+            failed += 1
+    return results, rejected, shed, failed
+
+
+def _report_admission(args, rejected: int, shed: int, failed: int) -> int:
+    """Print the admission line when it has news; exit status 1 on failures."""
+    if args.deadline_s is not None or args.max_pending is not None or failed:
+        print(f"admission: {rejected} rejected (overloaded), "
+              f"{shed} shed (deadline), {failed} failed")
+    return 1 if failed else 0
 
 
 def _serve_cluster(args) -> int:
@@ -225,7 +239,7 @@ def _serve_cluster(args) -> int:
             f"in {load_ms:.1f} ms"
         )
         serve_start = time.perf_counter()
-        results, rejected, shed = _submit_and_gather(
+        results, rejected, shed, failed = _submit_and_gather(
             cluster.submit, windows, args.deadline_s
         )
         elapsed = time.perf_counter() - serve_start
@@ -236,15 +250,13 @@ def _serve_cluster(args) -> int:
         else np.empty((0,) + tuple(cluster.prediction_shape))
     )
     _report(len(results), predictions, elapsed, stats, args.output)
-    if args.deadline_s is not None or args.max_pending is not None:
-        print(f"admission: {rejected} rejected (overloaded), "
-              f"{shed} shed (deadline)")
+    status = _report_admission(args, rejected, shed, failed)
     print(
         f"health: {health.num_alive}/{health.num_workers} workers live, "
         f"{health.num_parked} parked, {health.total_restarts} restart(s), "
         f"{health.redispatches} re-dispatch(es), generation {health.generation}"
     )
-    return 0
+    return status
 
 
 # --------------------------------------------------------------------- #
@@ -427,16 +439,13 @@ def main(argv=None) -> int:
     with MicroBatcher.for_service(service, max_batch=args.max_batch,
                                   max_wait_ms=args.max_wait_ms,
                                   max_pending=args.max_pending) as batcher:
-        results, rejected, shed = _submit_and_gather(
+        results, rejected, shed, failed = _submit_and_gather(
             batcher.submit, windows, args.deadline_s
         )
     elapsed = time.perf_counter() - serve_start
     predictions = np.stack(results) if results else np.empty((0,))
     _report(len(results), predictions, elapsed, batcher.stats, args.output)
-    if args.deadline_s is not None or args.max_pending is not None:
-        print(f"admission: {rejected} rejected (overloaded), "
-              f"{shed} shed (deadline)")
-    return 0
+    return _report_admission(args, rejected, shed, failed)
 
 
 if __name__ == "__main__":

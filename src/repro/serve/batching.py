@@ -1,25 +1,25 @@
-"""Micro-batching request queue for the forecast service.
+"""Micro-batching admission queue for the forecast service.
 
-Concurrent clients each submit a single history window; a background worker
-drains the queue, coalescing up to ``max_batch`` requests (waiting at most
-``max_wait_ms`` for stragglers after the first request arrives) and runs
-**one** batched forward for the whole group.  Batched inference amortises
-the per-call graph-convolution overhead, so throughput grows with batch
-size while each request pays at most ``max_wait_ms`` of queueing delay.
+Concurrent clients each submit a single history window into one
+:class:`AdmissionQueue`; consumers take batches of up to ``max_batch``
+requests (waiting at most ``max_wait_ms`` for stragglers after the first)
+and resolve them with **one** batched forward, which amortises the
+per-call graph-convolution overhead.  :class:`MicroBatcher` is the queue
+plus one consumer thread over a ``predict_fn``;
+:class:`~repro.serve.ServingCluster` runs one puller per worker process
+over the same queue.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-_SHUTDOWN = object()
 
 
 class Overloaded(RuntimeError):
@@ -27,32 +27,31 @@ class Overloaded(RuntimeError):
 
     Typed rejection is admission control: under overload the server sheds
     new work immediately instead of queueing it unboundedly and serving it
-    long after its deadline.  Callers can catch this and retry elsewhere
-    (the cluster fails over to a less-loaded worker) or surface it.
+    long after its deadline.  Callers can catch this and retry later or
+    surface it.
     """
 
 
 class DeadlineExceeded(RuntimeError):
     """Set on a future whose request expired before its batch ran.
 
-    The batching worker sheds expired requests *before* the kernel
-    forward, so a deadline miss costs a queue pop, never a wasted
-    inference.
+    The take step sheds expired requests *before* the kernel forward, so a
+    deadline miss costs a queue pop, never a wasted inference.
     """
 
 
 @dataclass
 class BatchStats:
-    """Running counters of the batching worker (O(1) memory, server-lifetime safe).
+    """Running counters of a queue's consumers (O(1) memory, server-lifetime safe).
 
     Batches whose forward raised are counted too (in ``num_batches`` /
     ``num_requests`` as well as ``num_failed_batches``), so the counters
-    reflect every batch the worker actually formed, not just the lucky ones.
+    reflect every batch a consumer actually formed, not just the lucky ones.
 
-    :meth:`record` is lock-guarded: the counters are fed from the batching
-    worker thread but read (and, in multi-batcher setups like the serving
-    cluster, merged) from arbitrary threads, and the read-modify-write
-    increments would otherwise race and undercount.
+    :meth:`record` is lock-guarded: the counters are fed from consumer
+    threads (one per worker in the serving cluster) but read from arbitrary
+    threads, and the read-modify-write increments would otherwise race and
+    undercount.
     """
 
     num_requests: int = 0
@@ -85,7 +84,7 @@ class BatchStats:
             self.num_rejected += count
 
     def merge(self, other: "BatchStats") -> None:
-        """Fold ``other``'s counters into this one (cluster-wide aggregation)."""
+        """Fold ``other``'s counters into this one."""
         with other._lock:
             requests, batches = other.num_requests, other.num_batches
             largest, failed = other.max_batch_size, other.num_failed_batches
@@ -103,53 +102,46 @@ class BatchStats:
         return self.num_requests / self.num_batches if self.num_batches else 0.0
 
 
-class MicroBatcher:
-    """Coalesce single-window forecast requests into batched forwards.
+class Request(NamedTuple):
+    """One admitted window, its client's future and its absolute deadline."""
+
+    window: np.ndarray
+    future: Future
+    deadline: float | None
+
+
+class AdmissionQueue:
+    """The request queue every consumer pulls batches from.
 
     Parameters
     ----------
-    predict_fn:
-        Batched inference function mapping ``(B, h, N, C)`` histories to
-        ``(B, f, N, 1)`` predictions — typically
-        :meth:`repro.serve.ForecastService.predict`.
     max_batch:
-        Largest batch one forward may serve.
+        Largest batch one take may return.
     max_wait_ms:
-        How long the worker waits for additional requests after the first
-        one of a batch arrives.  ``0`` disables coalescing delay (batches
-        only form from already-queued requests).
+        How long a take waits for additional requests after the first one
+        of a batch arrives.  ``0`` disables coalescing delay (batches only
+        form from already-queued requests).
     expected_channels:
-        Total per-window channel width ``predict_fn`` expects (observation-
+        Total per-window channel width the consumer expects (observation-
         mask channel *included* for mask-aware models).  When set, every
         :meth:`submit` validates the window width after any ``mask``
         concatenation — a ``(h, N, C)`` window for a mask-aware model would
         otherwise silently misread its last data channel as the mask.
-        ``None`` disables the check (the width cannot be known for a bare
-        ``predict_fn``).
+        ``None`` disables the check.
     mask_input:
-        Whether ``predict_fn`` serves a mask-aware model, i.e. whether the
+        Whether the consumer serves a mask-aware model, i.e. whether the
         trailing channel of each window is the observation mask.  Only
         meaningful together with ``expected_channels``; gates the ``mask``
         argument of :meth:`submit`.
     max_pending:
         Admission-control watermark: the largest number of requests that
-        may be queued or forming a batch at once.  :meth:`submit` raises
+        may wait in the queue at once.  :meth:`submit` raises
         :class:`Overloaded` beyond it instead of queueing unboundedly.
         ``None`` (the default) keeps the queue unbounded.
-
-    Use as a context manager, or call :meth:`close` to drain and stop::
-
-        with MicroBatcher(service.predict, max_batch=32, max_wait_ms=2) as mb:
-            futures = [mb.submit(w) for w in windows]
-            results = [f.result() for f in futures]
-
-    :meth:`for_service` wires ``expected_channels`` / ``mask_input``
-    straight from a :class:`~repro.serve.service.ForecastService`.
     """
 
     def __init__(
         self,
-        predict_fn: Callable[[np.ndarray], np.ndarray],
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         expected_channels: int | None = None,
@@ -164,49 +156,22 @@ class MicroBatcher:
             raise ValueError("expected_channels must be >= 1")
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        self.predict_fn = predict_fn
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.expected_channels = expected_channels
         self.mask_input = bool(mask_input)
         self.max_pending = max_pending
         self.stats = BatchStats()
-        self._queue: queue.Queue = queue.Queue()
+        self._requests: deque[Request] = deque()
+        # Guards _requests and _closed.  A submission either lands before
+        # close() (and a consumer, or the final fail_pending, resolves it)
+        # or deterministically raises — never a Future on a dead queue.
+        self._ready = threading.Condition()
         self._closed = False
-        # Admitted-but-unresolved request count for the watermark.  Guarded
-        # by its own lock (not _lifecycle) so the worker thread can decrement
-        # without contending with close().
-        self._pending = 0
-        self._pending_lock = threading.Lock()
-        # Serialises submit() against close(): without it a thread could pass
-        # the _closed check, lose the CPU while close() drains and joins the
-        # worker, and then land its window on a dead queue — a Future that
-        # never resolves.  Under the lock a submission either wins (its item
-        # is enqueued *before* the shutdown sentinel, so the worker or the
-        # drain loop is guaranteed to resolve it) or deterministically raises.
-        self._lifecycle = threading.Lock()
-        self._worker = threading.Thread(target=self._run, name="microbatcher", daemon=True)
-        self._worker.start()
 
     # ------------------------------------------------------------------ #
     # Client side
     # ------------------------------------------------------------------ #
-    @classmethod
-    def for_service(cls, service, **kwargs) -> "MicroBatcher":
-        """A batcher over ``service.predict`` with the scenario contract wired.
-
-        Reads the expected window width (mask channel included) and the
-        mask-awareness flag off the
-        :class:`~repro.serve.service.ForecastService`, so mis-shaped windows
-        are rejected at submit time instead of being silently misread.
-        """
-        return cls(
-            service.predict,
-            expected_channels=getattr(service, "expected_channels", None),
-            mask_input=getattr(service, "mask_input", False),
-            **kwargs,
-        )
-
     def _validate(self, window: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         """Apply the mask contract and width check; returns the final window."""
         if window.ndim != 3:
@@ -246,9 +211,9 @@ class MicroBatcher:
 
     @property
     def pending(self) -> int:
-        """Requests admitted but not yet resolved by the worker."""
-        with self._pending_lock:
-            return self._pending
+        """Requests admitted but not yet taken by a consumer."""
+        with self._ready:
+            return len(self._requests)
 
     def submit(self, window: np.ndarray, mask: np.ndarray | None = None,
                deadline_s: float | None = None) -> Future:
@@ -259,10 +224,10 @@ class MicroBatcher:
         input channel before batching, exactly as
         :meth:`ForecastService.predict` does.  A mask-aware request may
         equally arrive with the mask already concatenated, in which case
-        ``mask`` must be omitted.  When the batcher knows the served
-        model's channel width (see ``expected_channels`` /
-        :meth:`for_service`), mis-shaped windows raise ``ValueError`` here
-        instead of being silently misread by the model.
+        ``mask`` must be omitted.  When the queue knows the served
+        model's channel width (see ``expected_channels``), mis-shaped
+        windows raise ``ValueError`` here instead of being silently
+        misread by the model.
 
         ``deadline_s`` bounds how long the request may queue: if its batch
         has not started ``deadline_s`` seconds from now, the future fails
@@ -277,23 +242,21 @@ class MicroBatcher:
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be > 0")
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        with self._lifecycle:
+        with self._ready:
             if self._closed:
-                raise RuntimeError("cannot submit to a closed MicroBatcher")
-            if self.max_pending is not None:
-                with self._pending_lock:
-                    if self._pending >= self.max_pending:
-                        self.stats.record_rejected()
-                        raise Overloaded(
-                            f"{self._pending} request(s) already pending "
-                            f"(watermark {self.max_pending}); shedding new work"
-                        )
-                    self._pending += 1
-            else:
-                with self._pending_lock:
-                    self._pending += 1
+                raise RuntimeError(
+                    f"cannot submit to a closed {type(self).__name__}"
+                )
+            queued = len(self._requests)
+            if self.max_pending is not None and queued >= self.max_pending:
+                self.stats.record_rejected()
+                raise Overloaded(
+                    f"{queued} request(s) already pending "
+                    f"(watermark {self.max_pending}); shedding new work"
+                )
             future: Future = Future()
-            self._queue.put((window, future, deadline))
+            self._requests.append(Request(window, future, deadline))
+            self._ready.notify()
         return future
 
     def predict(self, window: np.ndarray, mask: np.ndarray | None = None,
@@ -304,15 +267,165 @@ class MicroBatcher:
                            deadline_s=deadline_s).result(timeout=timeout)
 
     def close(self) -> None:
+        """Stop accepting requests; consumers drain what is queued, then stop."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()
+
+    # ------------------------------------------------------------------ #
+    # Consumer side
+    # ------------------------------------------------------------------ #
+    def _claim(self, batch: list[Request]) -> list[Request]:
+        """Claim ``batch``'s futures and shed its expired requests.
+
+        A client that cancelled while queued is skipped (set_result on a
+        CANCELLED future raises); a claimed future is RUNNING and can no
+        longer be cancelled — a requeued one already is.  Expired requests
+        fail here, so a deadline miss never costs a kernel inference.
+        """
+        live, expired = [], 0
+        now = time.monotonic()
+        for request in batch:
+            if not (request.future.running()
+                    or request.future.set_running_or_notify_cancel()):
+                continue
+            if request.deadline is not None and now > request.deadline:
+                request.future.set_exception(DeadlineExceeded(
+                    "request deadline expired while queued; the batch was "
+                    "shed before running the kernel"
+                ))
+                expired += 1
+            else:
+                live.append(request)
+        if expired:
+            self.stats.record_expired(expired)
+        return live
+
+    def take(self) -> list[Request] | None:
+        """Block for the next batch of live requests; ``None`` once closed and empty.
+
+        Waits for a first request, grows the batch until it is full or
+        ``max_wait_ms`` has passed, then claims it (see :meth:`_claim`).
+        """
+        while True:
+            with self._ready:
+                while not self._requests:
+                    if self._closed:
+                        return None
+                    self._ready.wait()
+                batch = [self._requests.popleft()]
+                stop_at = time.monotonic() + self.max_wait_ms / 1000.0
+                while len(batch) < self.max_batch:
+                    if self._requests:
+                        batch.append(self._requests.popleft())
+                        continue
+                    remaining = stop_at - time.monotonic()
+                    if remaining <= 0 or self._closed:
+                        break
+                    self._ready.wait(remaining)
+            live = self._claim(batch)
+            if live:
+                return live
+
+    def resolve(self, batch: list[Request],
+                outcome: np.ndarray | BaseException) -> None:
+        """Settle every future of a taken batch and record it.
+
+        ``outcome`` is the batched forward's ``(B, f, N, ·)`` predictions
+        (row ``i`` answers request ``i``) or the exception it raised, which
+        every waiting client then sees.
+        """
+        failed = isinstance(outcome, BaseException)
+        for i, request in enumerate(batch):
+            if failed:
+                request.future.set_exception(outcome)
+            else:
+                request.future.set_result(outcome[i])
+        self.stats.record(len(batch), failed=failed)
+
+    def requeue(self, batch: list[Request]) -> None:
+        """Put a taken batch that never started back at the head of the queue.
+
+        Each request keeps its original deadline, and the watermark does
+        not apply: the work was already admitted.
+        """
+        with self._ready:
+            self._requests.extendleft(reversed(batch))
+            self._ready.notify_all()
+
+    def fail_pending(self, error: BaseException) -> None:
+        """Fail every queued request with ``error`` (no consumer is left)."""
+        with self._ready:
+            batch = list(self._requests)
+            self._requests.clear()
+        live = self._claim(batch)
+        if live:
+            self.resolve(live, error)
+
+
+class MicroBatcher(AdmissionQueue):
+    """Coalesce single-window forecast requests into batched forwards.
+
+    An :class:`AdmissionQueue` with one consumer thread that runs every
+    taken batch through ``predict_fn``.
+
+    Parameters
+    ----------
+    predict_fn:
+        Batched inference function mapping ``(B, h, N, C)`` histories to
+        ``(B, f, N, 1)`` predictions — typically
+        :meth:`repro.serve.ForecastService.predict`.
+    max_batch / max_wait_ms / expected_channels / mask_input / max_pending:
+        The queue's knobs (see :class:`AdmissionQueue`).
+
+    Use as a context manager, or call :meth:`close` to drain and stop::
+
+        with MicroBatcher(service.predict, max_batch=32, max_wait_ms=2) as mb:
+            futures = [mb.submit(w) for w in windows]
+            results = [f.result() for f in futures]
+
+    :meth:`for_service` wires ``expected_channels`` / ``mask_input``
+    straight from a :class:`~repro.serve.service.ForecastService`.
+    """
+
+    def __init__(
+        self,
+        predict_fn: Callable[[np.ndarray], np.ndarray],
+        max_batch: int = 32,
+        max_wait_ms: float = 2.0,
+        expected_channels: int | None = None,
+        mask_input: bool = False,
+        max_pending: int | None = None,
+    ):
+        super().__init__(max_batch, max_wait_ms, expected_channels,
+                         mask_input, max_pending)
+        self.predict_fn = predict_fn
+        self._worker = threading.Thread(target=self._run, name="microbatcher", daemon=True)
+        self._worker.start()
+
+    @classmethod
+    def for_service(cls, service, **kwargs) -> "MicroBatcher":
+        """A batcher over ``service.predict`` with the scenario contract wired.
+
+        Reads the expected window width (mask channel included) and the
+        mask-awareness flag off the
+        :class:`~repro.serve.service.ForecastService`, so mis-shaped windows
+        are rejected at submit time instead of being silently misread.
+        """
+        return cls(
+            service.predict,
+            expected_channels=getattr(service, "expected_channels", None),
+            mask_input=getattr(service, "mask_input", False),
+            **kwargs,
+        )
+
+    def close(self) -> None:
         """Stop accepting requests, drain the queue and join the worker.
 
         Safe to call from several threads: every caller joins the worker, so
         no close() returns while the drain is still mutating stats.
         """
-        with self._lifecycle:
-            if not self._closed:
-                self._closed = True
-                self._queue.put(_SHUTDOWN)
+        super().close()
         self._worker.join()
 
     def __enter__(self) -> "MicroBatcher":
@@ -321,103 +434,12 @@ class MicroBatcher:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Worker side
-    # ------------------------------------------------------------------ #
-    def _collect(self, first) -> tuple[list, bool]:
-        """Grow a batch from ``first`` until full, timed out, or shut down."""
-        batch = [first]
-        deadline = time.monotonic() + self.max_wait_ms / 1000.0
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                return batch, True
-            batch.append(item)
-        return batch, False
-
-    def _retire(self, count: int) -> None:
-        with self._pending_lock:
-            self._pending -= count
-
     def _run(self) -> None:
-        shutdown = False
-        while not shutdown:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                break
-            batch, shutdown = self._collect(item)
-            self._retire(len(batch))
-            # Claim every future before the forward: a client that cancelled
-            # while queued must be skipped — set_result/set_exception on a
-            # CANCELLED future raises InvalidStateError, which would kill
-            # this worker thread and hang every later submission.  After a
-            # successful claim the future is RUNNING and can no longer be
-            # cancelled, so the resolution below is race-free.
-            live = [
-                (window, future, deadline) for window, future, deadline in batch
-                if future.set_running_or_notify_cancel()
-            ]
-            # Shed expired requests before the forward: a deadline miss must
-            # never cost a kernel inference on an answer nobody is waiting for.
-            now = time.monotonic()
-            expired = [
-                (window, future) for window, future, deadline in live
-                if deadline is not None and now > deadline
-            ]
-            for _, future in expired:
-                future.set_exception(DeadlineExceeded(
-                    "request deadline expired while queued; the batch was "
-                    "shed before running the kernel"
-                ))
-            if expired:
-                self.stats.record_expired(len(expired))
-            live = [
-                (window, future) for window, future, deadline in live
-                if deadline is None or now <= deadline
-            ]
-            if not live:
-                continue
-            futures = [future for _, future in live]
+        while (batch := self.take()) is not None:
             try:
-                windows = np.stack([window for window, _ in live])
-                predictions = self.predict_fn(windows)
+                outcome = self.predict_fn(
+                    np.stack([request.window for request in batch])
+                )
             except Exception as error:  # propagate to every waiting client
-                for future in futures:
-                    future.set_exception(error)
-                self.stats.record(len(live), failed=True)
-                continue
-            for i, future in enumerate(futures):
-                future.set_result(predictions[i])
-            self.stats.record(len(live))
-        # Drain anything still queued after shutdown so no client hangs.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                continue
-            window, future, deadline = item
-            self._retire(1)
-            if not future.set_running_or_notify_cancel():
-                continue  # cancelled while queued
-            if deadline is not None and time.monotonic() > deadline:
-                future.set_exception(DeadlineExceeded(
-                    "request deadline expired while queued; the batch was "
-                    "shed before running the kernel"
-                ))
-                self.stats.record_expired()
-                continue
-            try:
-                future.set_result(self.predict_fn(window[None])[0])
-                self.stats.record(1)
-            except Exception as error:
-                future.set_exception(error)
-                self.stats.record(1, failed=True)
+                outcome = error
+            self.resolve(batch, outcome)

@@ -9,36 +9,41 @@ same forecaster — the bundle carries config, parameters, SNS candidates and
 the frozen index set), and fans requests over them:
 
 * **Shared-memory ring buffers** — each worker owns a request ring and a
-  response ring backed by :mod:`multiprocessing.shared_memory`, sized
-  ``slots × max_batch`` windows/predictions.  ``(B, h, N, C)`` batches cross
-  the process boundary as raw buffer copies; only a tiny ``(seq, slot,
-  batch)`` header travels over the control pipe, so nothing is ever pickled
-  on the hot path.  Every response carries a CRC-32 of its ring slot, so a
-  corrupted copy is a typed :class:`RingCorruptionError`, never a silently
-  wrong forecast.
-* **Per-worker micro-batching** — the front door routes each submitted
-  window round-robin into one :class:`~repro.serve.MicroBatcher` per worker,
-  so request coalescing (and its amortisation of per-forward overhead)
-  happens exactly as in single-process serving, once per replica.
+  response ring backed by :mod:`multiprocessing.shared_memory`, two slots
+  of ``max_batch`` windows/predictions each.  ``(B, h, N, C)`` batches
+  cross the process boundary as raw buffer copies; only a tiny
+  ``(seq, slot, batch)`` header travels over the control pipe, so nothing
+  is ever pickled on the hot path.  Every response carries a CRC-32 of its
+  ring slot, so a corrupted copy is a typed :class:`RingCorruptionError`,
+  never a silently wrong forecast.
+* **One admission queue, pulled** — every submitted window lands in one
+  :class:`~repro.serve.batching.AdmissionQueue`.  Each worker has a puller
+  thread that takes the next micro-batch whenever its worker is live and
+  idle, so dispatch follows queue depth and a request binds to a worker
+  only when its batch is written into a ring slot.
 * **An asyncio front door** — :meth:`submit` returns a
   :class:`concurrent.futures.Future`; :meth:`predict_async` /
   :meth:`serve_async` wrap them for ``await``-style fan-out/gather.
 * **Liveness and supervision** — workers heartbeat over the control pipe
-  and exit when the parent disappears; the front door detects a dead
-  worker mid-batch (pipe EOF, process exit, or request timeout),
-  re-dispatches the batch at most once to a live peer (never when the
-  batch may have executed — at-most-once), and otherwise fails the
-  batch's futures with a descriptive :class:`WorkerDiedError` — pending
-  futures never hang.  A supervisor thread respawns dead workers from the
-  bundle with exponential backoff; a crash-looping worker (``max_crash_loop``
+  and exit when the parent disappears; a puller detects its worker's death
+  mid-batch (pipe EOF, process exit, or request timeout).  A batch the dead
+  worker never started goes back to the head of the queue for any live
+  puller; a batch that may have executed (a timeout) fails its futures
+  with a typed :class:`ClusterError` — at-most-once.  A supervisor thread
+  respawns dead workers from the bundle with exponential backoff, and a
+  respawned worker catches up to the newest hot-swapped graph before its
+  puller takes work again; a crash-looping worker (``max_crash_loop``
   rapid failures) is *parked* and the cluster degrades to the surviving
-  pool.  :meth:`health` reports the whole picture as a structured
+  pool.  Queued work fails only when no puller can ever run again (every
+  slot parked, every worker dead without supervision, or no live worker
+  left to drain it at :meth:`close`), so pending futures never hang.
+  :meth:`health` reports the whole picture as a structured
   :class:`ClusterHealth` snapshot.
 * **Admission control** — ``submit(..., deadline_s=)`` sheds requests whose
   deadline expires while queued *before* they reach a kernel, and
-  ``max_pending`` bounds each worker's queue, rejecting excess work with a
-  typed :class:`~repro.serve.batching.Overloaded` error (after trying every
-  live worker) instead of queueing unboundedly.
+  ``max_pending`` bounds the queue, rejecting excess work with a typed
+  :class:`~repro.serve.batching.Overloaded` error instead of queueing
+  unboundedly.
 * **Deterministic fault injection** — a seeded
   :class:`~repro.serve.faults.FaultPlan` schedules worker kills, stalls,
   ring corruption and slow batches at exact job ordinals, so chaos
@@ -77,7 +82,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serve.batching import BatchStats, MicroBatcher, Overloaded
+from repro.serve.batching import AdmissionQueue, BatchStats
 from repro.serve.faults import FaultInjector, FaultPlan, corrupt_ring_slot
 from repro.utils.checkpoint import load_bundle
 
@@ -92,6 +97,11 @@ _BLAS_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+# Ring depth per worker.  A worker has at most one batch in flight, so two
+# slots keep the next dispatch's write away from the response still being
+# copied out.
+_RING_SLOTS = 2
+
 
 class ClusterError(RuntimeError):
     """A serving-cluster failure (configuration, startup, or no live workers)."""
@@ -102,8 +112,8 @@ class WorkerDiedError(ClusterError):
 
     ``may_have_executed`` distinguishes the two failure classes the retry
     policy cares about: a worker whose *process is gone* (pipe EOF, exit)
-    can never deliver its result, so the batch is safe to re-dispatch once;
-    a worker that merely *timed out while still running* may complete the
+    can never deliver its result, so the batch goes back to the queue; a
+    worker that merely *timed out while still running* may complete the
     forward late, so at-most-once forbids retrying it.
     """
 
@@ -132,7 +142,6 @@ class WorkerHealth:
     consecutive_failures: int
     backoff_remaining_s: float
     heartbeat_age_s: float | None
-    pending: int
 
     def to_dict(self) -> dict:
         return {
@@ -146,13 +155,16 @@ class WorkerHealth:
                 None if self.heartbeat_age_s is None
                 else round(self.heartbeat_age_s, 3)
             ),
-            "pending": self.pending,
         }
 
 
 @dataclass
 class ClusterHealth:
-    """Structured cluster-wide health: pool strength, restarts, backlog."""
+    """Structured cluster-wide health: pool strength, restarts, backlog.
+
+    ``redispatches`` counts batches put back on the queue after their
+    worker died before starting them; ``pending`` is the queue's depth.
+    """
 
     num_workers: int
     num_alive: int
@@ -216,7 +228,6 @@ def _worker_main(
     conn,
     request_name: str,
     response_name: str,
-    slots: int,
     max_batch: int,
     window_shape: tuple,
     prediction_shape: tuple,
@@ -252,11 +263,11 @@ def _worker_main(
         request_shm = shared_memory.SharedMemory(name=request_name)
         response_shm = shared_memory.SharedMemory(name=response_name)
         requests = np.ndarray(
-            (slots, max_batch) + tuple(window_shape), dtype=dtype,
+            (_RING_SLOTS, max_batch) + tuple(window_shape), dtype=dtype,
             buffer=request_shm.buf,
         )
         responses = np.ndarray(
-            (slots, max_batch) + tuple(prediction_shape), dtype=dtype,
+            (_RING_SLOTS, max_batch) + tuple(prediction_shape), dtype=dtype,
             buffer=response_shm.buf,
         )
         injector = FaultInjector(fault_schedule)
@@ -341,20 +352,18 @@ def _worker_main(
 class _WorkerChannel:
     """Parent-side handle of one worker: rings, control pipe, liveness."""
 
-    def __init__(self, worker_id: int, ctx, bundle_path: str, slots: int,
+    def __init__(self, worker_id: int, ctx, bundle_path: str,
                  max_batch: int, window_shape: tuple, prediction_shape: tuple,
                  dtype: np.dtype, request_timeout_s: float,
                  heartbeat_interval_s: float, blas_threads: int | None,
                  service_kwargs: dict, fault_schedule: dict | None = None):
         self.worker_id = worker_id
-        self.slots = slots
         self.max_batch = max_batch
         self.request_timeout_s = request_timeout_s
         self.alive = False
         self.last_heartbeat: float | None = None
         self._seq = 0
         self._dispatch_lock = threading.Lock()
-        self.batcher: MicroBatcher | None = None  # wired by the cluster
         # Optional instrumentation: called as trace("dispatch"|"complete",
         # seq, slot, batch) around every ring round-trip.  Tests use it to
         # assert the no-slot-reuse-while-unread invariant under wraparound.
@@ -386,17 +395,18 @@ class _WorkerChannel:
             window_bytes = int(np.prod(window_shape)) * dtype.itemsize
             prediction_bytes = int(np.prod(prediction_shape)) * dtype.itemsize
             self.request_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, slots * max_batch * window_bytes)
+                create=True, size=max(1, _RING_SLOTS * max_batch * window_bytes)
             )
             self.response_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, slots * max_batch * prediction_bytes)
+                create=True,
+                size=max(1, _RING_SLOTS * max_batch * prediction_bytes),
             )
             self.request_view = np.ndarray(
-                (slots, max_batch) + tuple(window_shape), dtype=dtype,
+                (_RING_SLOTS, max_batch) + tuple(window_shape), dtype=dtype,
                 buffer=self.request_shm.buf,
             )
             self.response_view = np.ndarray(
-                (slots, max_batch) + tuple(prediction_shape), dtype=dtype,
+                (_RING_SLOTS, max_batch) + tuple(prediction_shape), dtype=dtype,
                 buffer=self.response_shm.buf,
             )
             self._spawn(fault_schedule)
@@ -434,7 +444,7 @@ class _WorkerChannel:
             name=f"repro-serve-worker-{self.worker_id}",
             args=(self.worker_id, self._bundle_path, child_conn,
                   self.request_shm.name, self.response_shm.name,
-                  self.slots, self.max_batch, self._window_shape,
+                  self.max_batch, self._window_shape,
                   self._prediction_shape, self._dtype.str,
                   self._heartbeat_interval_s, self._service_kwargs,
                   fault_schedule),
@@ -492,8 +502,14 @@ class _WorkerChannel:
                     f"(exitcode {self.process.exitcode})"
                 )
 
-    def _mark_dead(self) -> None:
-        self.alive = False
+    @property
+    def alive(self) -> bool:
+        """Ready, not since found dead, and the process still exists."""
+        return self._alive and self.process.is_alive()
+
+    @alive.setter
+    def alive(self, value: bool) -> None:
+        self._alive = value
 
     def poll_liveness(self, heartbeat_timeout_s: float) -> bool:
         """Idle-path death detection; returns whether the worker is alive.
@@ -509,195 +525,137 @@ class _WorkerChannel:
         if not self._dispatch_lock.acquire(blocking=False):
             return True
         try:
+            intact = True
             try:
-                while self.conn.poll(0):
+                while intact and self.conn.poll(0):
                     message = self.conn.recv()
                     if message[0] == "hb":
                         self.last_heartbeat = time.monotonic()
-                    elif message[0] == "fatal":
-                        self._mark_dead()
-                        return False
-                    # stale ok/err replies of a timed-out dispatch are
-                    # dropped here so they never alias a later round-trip
+                    # a "fatal" report means the worker is gone; stale
+                    # ok/err replies of a timed-out dispatch are dropped
+                    # here so they never alias a later round-trip
+                    intact = message[0] != "fatal"
             except (EOFError, BrokenPipeError, OSError):
-                self._mark_dead()
-                return False
-            if not self.process.is_alive():
-                self._mark_dead()
-                return False
-            if (self.last_heartbeat is not None
-                    and time.monotonic() - self.last_heartbeat
-                    > heartbeat_timeout_s):
-                self._mark_dead()
-                return False
-            return True
+                intact = False
+            self.alive = intact and (
+                self.last_heartbeat is None
+                or time.monotonic() - self.last_heartbeat <= heartbeat_timeout_s
+            )
+            return self.alive
         finally:
             self._dispatch_lock.release()
+
+    def _round_trip(self, message: tuple, action: str) -> tuple:
+        """Send one control message and wait for its reply (dispatch lock held).
+
+        ``message[1]`` is the sequence number the reply must echo; stale
+        replies of superseded round-trips are skipped.  Returns the matching
+        ``ok``/``swapped`` reply.  ``action`` ("batch" or "swap") names the
+        round-trip in errors: a closed pipe, EOF, process exit or ``fatal``
+        report is a :class:`WorkerDiedError`; a timeout is one with
+        ``may_have_executed=True``; an ``err`` reply is a ``RuntimeError``.
+        """
+        seq = message[1]
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, OSError) as error:
+            self.alive = False
+            raise WorkerDiedError(
+                f"worker {self.worker_id} control pipe is closed"
+            ) from error
+        deadline = time.monotonic() + self.request_timeout_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self.alive = False
+                raise WorkerDiedError(
+                    f"worker {self.worker_id} did not answer within "
+                    f"{self.request_timeout_s:.0f} s ({action} in flight)",
+                    may_have_executed=True,
+                )
+            if not self.conn.poll(min(0.1, remaining)):
+                if not self.process.is_alive():
+                    self.alive = False
+                    raise WorkerDiedError(
+                        f"worker {self.worker_id} died mid-{action} "
+                        f"(exitcode {self.process.exitcode})"
+                    )
+                continue
+            try:
+                reply = self.conn.recv()
+            except (EOFError, OSError) as error:
+                self.alive = False
+                raise WorkerDiedError(
+                    f"worker {self.worker_id} died mid-{action} "
+                    "(control pipe EOF)"
+                ) from error
+            kind = reply[0]
+            if kind == "hb":
+                self.last_heartbeat = reply[1]
+                continue
+            if kind == "fatal":
+                self.alive = False
+                raise WorkerDiedError(
+                    f"worker {self.worker_id} aborted:\n{reply[1]}"
+                )
+            # A reply proves liveness: a busy worker never idles long
+            # enough to send a heartbeat.
+            self.last_heartbeat = time.monotonic()
+            if reply[1] != seq:
+                continue  # stale answer from a superseded round-trip
+            if kind == "err":
+                raise RuntimeError(
+                    f"worker {self.worker_id} {action} failed:\n{reply[2]}"
+                )
+            return reply
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """One batched round-trip through the rings (serialised per worker)."""
         batch = windows.shape[0]
-        if batch > self.max_batch:
-            raise ClusterError(
-                f"batch of {batch} exceeds the ring slot capacity "
-                f"{self.max_batch}"
-            )
-        with self._dispatch_lock:
-            if not self.alive:
-                raise WorkerDiedError(
-                    f"worker {self.worker_id} is not alive"
-                )
-            self._seq += 1
-            seq = self._seq
-            slot = seq % self.slots
-            if self.trace is not None:
-                self.trace("dispatch", seq, slot, batch)
-            self.request_view[slot, :batch] = windows  # dtype cast included
-            try:
-                self.conn.send(("job", seq, slot, batch))
-            except (BrokenPipeError, OSError) as error:
-                self._mark_dead()
-                raise WorkerDiedError(
-                    f"worker {self.worker_id} control pipe is closed"
-                ) from error
-            deadline = time.monotonic() + self.request_timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} did not answer within "
-                        f"{self.request_timeout_s:.0f} s (batch of {batch} "
-                        "in flight)",
-                        may_have_executed=True,
-                    )
-                if self.conn.poll(min(0.1, remaining)):
-                    try:
-                        message = self.conn.recv()
-                    except (EOFError, OSError) as error:
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} died mid-batch "
-                            "(control pipe EOF)"
-                        ) from error
-                    kind = message[0]
-                    if kind == "hb":
-                        self.last_heartbeat = message[1]
-                        continue
-                    if kind in ("ok", "err"):
-                        # A reply proves liveness: a busy worker never idles
-                        # long enough to send a heartbeat.
-                        self.last_heartbeat = time.monotonic()
-                    if kind == "ok":
-                        _, r_seq, r_slot, r_batch, checksum = message
-                        if r_seq != seq:
-                            continue  # stale answer from a superseded dispatch
-                        result = np.array(
-                            self.response_view[r_slot, :r_batch], copy=True
-                        )
-                        actual = zlib.crc32(
-                            np.ascontiguousarray(result).tobytes()
-                        )
-                        if actual != checksum:
-                            raise RingCorruptionError(
-                                f"worker {self.worker_id} response failed its "
-                                f"ring CRC check (slot {r_slot}, batch "
-                                f"{r_batch}): the shared-memory copy is "
-                                "corrupt; the request executed and is not "
-                                "retried"
-                            )
-                        if self.trace is not None:
-                            self.trace("complete", seq, slot, batch)
-                        return result
-                    if kind == "err":
-                        _, r_seq, detail = message
-                        if r_seq != seq:
-                            continue
-                        raise RuntimeError(
-                            f"worker {self.worker_id} prediction failed:\n"
-                            f"{detail}"
-                        )
-                    if kind == "fatal":
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} aborted:\n{message[1]}"
-                        )
-                elif not self.process.is_alive():
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} died mid-batch "
-                        f"(exitcode {self.process.exitcode})"
-                    )
-
-    def swap(self, index_set: np.ndarray) -> int:
-        """Hot-swap this worker's frozen graph; returns its new generation.
-
-        Serialised against :meth:`predict` by the dispatch lock, so the
-        swap message is only sent between batch round-trips — the worker
-        never sees it with one of *our* batches outstanding, and batches
-        dispatched by the micro-batcher before the swap complete on the old
-        generation (the worker processes its control pipe serially).
-        """
         with self._dispatch_lock:
             if not self.alive:
                 raise WorkerDiedError(f"worker {self.worker_id} is not alive")
             self._seq += 1
             seq = self._seq
-            try:
-                self.conn.send(("swap", seq, np.asarray(index_set, dtype=np.int64)))
-            except (BrokenPipeError, OSError) as error:
-                self._mark_dead()
-                raise WorkerDiedError(
-                    f"worker {self.worker_id} control pipe is closed"
-                ) from error
-            deadline = time.monotonic() + self.request_timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} did not acknowledge the "
-                        f"swap within {self.request_timeout_s:.0f} s",
-                        may_have_executed=True,
-                    )
-                if self.conn.poll(min(0.1, remaining)):
-                    try:
-                        message = self.conn.recv()
-                    except (EOFError, OSError) as error:
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} died mid-swap "
-                            "(control pipe EOF)"
-                        ) from error
-                    kind = message[0]
-                    if kind == "hb":
-                        self.last_heartbeat = message[1]
-                        continue
-                    if kind in ("swapped", "err"):
-                        self.last_heartbeat = time.monotonic()
-                    if kind == "swapped":
-                        _, r_seq, generation = message
-                        if r_seq != seq:
-                            continue
-                        return int(generation)
-                    if kind == "err":
-                        _, r_seq, detail = message
-                        if r_seq != seq:
-                            continue
-                        raise RuntimeError(
-                            f"worker {self.worker_id} swap failed:\n{detail}"
-                        )
-                    if kind == "fatal":
-                        self._mark_dead()
-                        raise WorkerDiedError(
-                            f"worker {self.worker_id} aborted:\n{message[1]}"
-                        )
-                elif not self.process.is_alive():
-                    self._mark_dead()
-                    raise WorkerDiedError(
-                        f"worker {self.worker_id} died mid-swap "
-                        f"(exitcode {self.process.exitcode})"
-                    )
+            slot = seq % _RING_SLOTS
+            if self.trace is not None:
+                self.trace("dispatch", seq, slot, batch)
+            self.request_view[slot, :batch] = windows  # dtype cast included
+            _, _, r_slot, r_batch, checksum = self._round_trip(
+                ("job", seq, slot, batch), "batch"
+            )
+            result = np.array(self.response_view[r_slot, :r_batch], copy=True)
+            if zlib.crc32(np.ascontiguousarray(result).tobytes()) != checksum:
+                raise RingCorruptionError(
+                    f"worker {self.worker_id} response failed its ring CRC "
+                    f"check (slot {r_slot}, batch {r_batch}): the "
+                    "shared-memory copy is corrupt; the request executed and "
+                    "is not retried"
+                )
+            if self.trace is not None:
+                self.trace("complete", seq, slot, batch)
+            return result
+
+    def _swap(self, index_set: np.ndarray) -> None:
+        """Hot-swap round-trip; the caller holds the dispatch lock."""
+        if not self.alive:
+            raise WorkerDiedError(f"worker {self.worker_id} is not alive")
+        self._seq += 1
+        self._round_trip(
+            ("swap", self._seq, np.asarray(index_set, dtype=np.int64)), "swap"
+        )
+
+    def swap(self, index_set: np.ndarray) -> None:
+        """Hot-swap this worker's frozen graph.
+
+        Serialised against :meth:`predict` by the dispatch lock, so the
+        swap message is only sent between batch round-trips — the worker
+        never sees it with one of *our* batches outstanding, and batches
+        dispatched before the swap complete on the old generation (the
+        worker processes its control pipe serially).
+        """
+        with self._dispatch_lock:
+            self._swap(index_set)
 
     def _close_process(self, join_timeout_s: float = 10.0) -> None:
         """Stop the worker process and close the pipe (never raises)."""
@@ -718,19 +676,28 @@ class _WorkerChannel:
             pass
 
     def respawn(self, start_timeout_s: float,
-                fault_schedule: dict | None = None) -> None:
+                fault_schedule: dict | None = None,
+                index_set: np.ndarray | None = None) -> None:
         """Replace a dead worker with a fresh process on the same rings.
 
         The rings are parent-owned and intact across a worker death, so the
-        replacement simply re-attaches to them.  Holding the dispatch lock
-        for the whole dispose-spawn-ready sequence keeps any concurrent
-        :meth:`predict` from observing a half-replaced channel.
+        replacement simply re-attaches to them.  ``index_set`` (the newest
+        hot-swapped graph, if any) is applied before the dispatch lock is
+        released: holding it for the whole dispose-spawn-ready-catch-up
+        sequence keeps any :meth:`predict` from observing a half-replaced
+        channel or the bundle's stale graph.
         """
         with self._dispatch_lock:
             self.alive = False
             self._close_process(join_timeout_s=2.0)
             self._spawn(fault_schedule)
             self.wait_ready(start_timeout_s)
+            if index_set is not None:
+                try:
+                    self._swap(index_set)
+                except Exception:
+                    self.alive = False
+                    raise
 
     def shutdown(self, join_timeout_s: float = 10.0) -> None:
         """Stop the worker and release the rings (idempotent, never raises)."""
@@ -742,8 +709,6 @@ class _WorkerChannel:
             try:
                 shm.close()
                 shm.unlink()
-            except FileNotFoundError:
-                pass
             except Exception:
                 pass
 
@@ -762,17 +727,15 @@ class ServingCluster:
         Number of worker processes.  Throughput scales with workers until
         the host runs out of cores.
     max_batch / max_wait_ms:
-        Per-worker micro-batching knobs (see :class:`MicroBatcher`); also
-        the ring-slot capacity, and the workspace size each worker pins.
-    slots:
-        Ring depth per worker.  Each worker has at most one batch in flight
-        today, but the ring keeps slot reuse away from the response copy
-        and leaves room for pipelined dispatch.
+        Micro-batching knobs of the admission queue (see
+        :class:`~repro.serve.batching.AdmissionQueue`); ``max_batch`` is
+        also the ring-slot capacity, and the workspace size each worker
+        pins.
     request_timeout_s:
         Hard deadline for one batched round-trip; a worker that exceeds it
-        is declared dead.  Its batch is *not* re-dispatched (the late
-        worker may still complete the forward — at-most-once), unlike a
-        batch lost to process death, which retries once on a live peer.
+        is declared dead.  Its batch is *not* retried (the late worker may
+        still complete the forward — at-most-once), unlike a batch lost to
+        process death, which goes back to the queue.
     heartbeat_interval_s:
         Idle-worker heartbeat period; also how often an orphaned worker
         checks that its parent still exists.
@@ -790,8 +753,8 @@ class ServingCluster:
         every worker a clean interpreter (fresh BLAS pools, no inherited
         locks); ``"fork"`` starts faster but is unsafe under threads.
     supervise:
-        Run the supervisor thread (default).  ``False`` restores the
-        PR-8 behaviour: a dead worker permanently shrinks the pool.
+        Run the supervisor thread (default).  ``False`` keeps detection
+        only: a dead worker permanently shrinks the pool.
     supervise_interval_s:
         Supervisor polling period.
     restart_backoff_s / restart_backoff_ceiling_s:
@@ -809,10 +772,9 @@ class ServingCluster:
         worker dead (a wedged-but-running process).  Defaults to
         ``max(5 * heartbeat_interval_s, 5.0)``.
     max_pending:
-        Per-worker admission watermark forwarded to each
-        :class:`MicroBatcher`; :meth:`submit` tries every live worker and
-        raises :class:`~repro.serve.batching.Overloaded` when all are at
-        their watermark.  ``None`` keeps queues unbounded.
+        Admission watermark of the queue: :meth:`submit` raises
+        :class:`~repro.serve.batching.Overloaded` while this many requests
+        wait for a puller.  ``None`` keeps the queue unbounded.
     fault_plan:
         A :class:`~repro.serve.faults.FaultPlan` scheduling deterministic
         worker kills/stalls/corruption/slow batches for chaos testing.
@@ -820,9 +782,10 @@ class ServingCluster:
 
     Submitting returns :class:`concurrent.futures.Future`\\ s; asyncio
     callers use :meth:`predict_async` / :meth:`serve_async`.  Use as a
-    context manager (or call :meth:`close`) — shutdown drains every
-    worker's queue, so in-flight futures resolve or fail deterministically,
-    then stops the processes and unlinks the shared memory.
+    context manager (or call :meth:`close`) — shutdown lets the live
+    pullers drain the queue, so in-flight futures resolve or fail
+    deterministically, then stops the processes and unlinks the shared
+    memory.
     """
 
     def __init__(
@@ -831,7 +794,6 @@ class ServingCluster:
         workers: int = 2,
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
-        slots: int = 2,
         request_timeout_s: float = 120.0,
         heartbeat_interval_s: float = 1.0,
         start_timeout_s: float = 120.0,
@@ -851,8 +813,6 @@ class ServingCluster:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
         if supervise_interval_s <= 0:
             raise ValueError("supervise_interval_s must be > 0")
         if restart_backoff_s <= 0 or restart_backoff_ceiling_s < restart_backoff_s:
@@ -906,11 +866,21 @@ class ServingCluster:
             "verify_digest": False,
         }
         ctx = multiprocessing.get_context(mp_context)
+        self._queue = AdmissionQueue(
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+            expected_channels=self.expected_channels,
+            mask_input=self.mask_input,
+            max_pending=max_pending,
+        )
         self._channels: list[_WorkerChannel] = []
+        self._pullers: list[threading.Thread] = []
+        self._live_pullers = workers  # guarded by _lifecycle
         self._lifecycle = threading.Lock()
         self._closed = False
-        self._rr = 0
-        self._rr_lock = threading.Lock()
+        # Wakes pullers waiting on a down worker: notified after a respawn,
+        # a park and close().  Also guards the redispatch counter.
+        self._pool_changed = threading.Condition()
         self._redispatches = 0
         self._stop_supervisor = threading.Event()
         self._supervisor: threading.Thread | None = None
@@ -922,7 +892,7 @@ class ServingCluster:
                 )
                 self._channels.append(
                     _WorkerChannel(
-                        worker_id, ctx, str(self.bundle_path), slots,
+                        worker_id, ctx, str(self.bundle_path),
                         max_batch, window_shape, prediction_shape, dtype,
                         request_timeout_s, heartbeat_interval_s,
                         blas_threads, service_kwargs, schedule,
@@ -930,15 +900,6 @@ class ServingCluster:
                 )
             for channel in self._channels:
                 channel.wait_ready(start_timeout_s)
-            for channel in self._channels:
-                channel.batcher = MicroBatcher(
-                    self._make_predict_fn(channel),
-                    max_batch=max_batch,
-                    max_wait_ms=max_wait_ms,
-                    expected_channels=self.expected_channels,
-                    mask_input=self.mask_input,
-                    max_pending=max_pending,
-                )
         except Exception:
             self._teardown()
             raise
@@ -947,6 +908,77 @@ class ServingCluster:
                 target=self._supervise, name="cluster-supervisor", daemon=True
             )
             self._supervisor.start()
+        for channel in self._channels:
+            puller = threading.Thread(
+                target=self._pull, args=(channel,),
+                name=f"cluster-puller-{channel.worker_id}", daemon=True,
+            )
+            self._pullers.append(puller)
+            puller.start()
+
+    # ------------------------------------------------------------------ #
+    # Pulling
+    # ------------------------------------------------------------------ #
+    def _notify_pool(self) -> None:
+        with self._pool_changed:
+            self._pool_changed.notify_all()
+
+    def _await_turn(self, channel: _WorkerChannel) -> bool:
+        """Wait until ``channel`` may take work; ``False`` once it never will.
+
+        A live channel has caught up to the newest generation: a respawn
+        applies it under the dispatch lock before any batch can reach the
+        new process.  A down channel waits for its respawn, unless the slot
+        is parked, the cluster is closing, or nothing supervises it.
+        """
+        with self._pool_changed:
+            while not channel.alive:
+                if (channel.parked or self._closed
+                        or self._supervisor is None):
+                    return False
+                self._pool_changed.wait()
+            return True
+
+    def _pull(self, channel: _WorkerChannel) -> None:
+        """One worker's consumer loop over the shared admission queue."""
+        try:
+            while self._await_turn(channel):
+                batch = self._queue.take()
+                if batch is None:
+                    return  # closed and drained
+                try:
+                    outcome = channel.predict(
+                        np.stack([request.window for request in batch])
+                    )
+                except WorkerDiedError as error:
+                    if not error.may_have_executed:
+                        # The worker never started the batch: any live
+                        # puller may serve it, within its deadlines.
+                        self._queue.requeue(batch)
+                        with self._pool_changed:
+                            self._redispatches += 1
+                        continue
+                    outcome = ClusterError(
+                        f"batch of {len(batch)} timed out on worker "
+                        f"{channel.worker_id} and may still execute; not "
+                        f"re-dispatching (at-most-once): {error}"
+                    )
+                except Exception as error:  # CRC failure, worker err reply
+                    outcome = error
+                self._queue.resolve(batch, outcome)
+        finally:
+            self._retire_puller()
+
+    def _retire_puller(self) -> None:
+        """The last puller out fails whatever is still queued."""
+        with self._lifecycle:
+            self._live_pullers -= 1
+            last = self._live_pullers == 0
+        if last:
+            self._queue.close()
+            self._queue.fail_pending(ClusterError(
+                "no live worker left to serve the request"
+            ))
 
     # ------------------------------------------------------------------ #
     # Supervision
@@ -962,6 +994,7 @@ class ServingCluster:
         if channel.consecutive_failures >= self.max_crash_loop:
             channel.parked = True
             channel.next_restart_at = None
+            self._notify_pool()
             return
         delay = min(
             self.restart_backoff_s * 2 ** (channel.consecutive_failures - 1),
@@ -970,18 +1003,23 @@ class ServingCluster:
         channel.next_restart_at = now + delay
 
     def _respawn_channel(self, channel: _WorkerChannel) -> None:
-        """One supervised respawn attempt, including generation catch-up."""
+        """One supervised respawn attempt, including generation catch-up.
+
+        The swap lock is held throughout, so a broadcast either finishes
+        before the respawn reads the newest index set or starts after the
+        replacement is live and caught up.
+        """
         schedule = None
         if self.fault_plan is not None and self.fault_plan.repeat_on_respawn:
             schedule = self.fault_plan.schedule_for(channel.worker_id)
-        channel.respawn(self.start_timeout_s, schedule)
+        with self._swap_lock:
+            # A replacement spawned after a hot-swap must serve the
+            # *current* graph, not the bundle's frozen one.
+            catch_up = self.index_set if self._generation > 0 else None
+            channel.respawn(self.start_timeout_s, schedule, catch_up)
         channel.restarts += 1
         channel.next_restart_at = None
-        # A replacement spawned after a hot-swap must serve the *current*
-        # graph, not the bundle's frozen one.
-        if self._generation > 0 and self.index_set is not None:
-            with self._swap_lock:
-                channel.swap(self.index_set)
+        self._notify_pool()
 
     def _supervise(self) -> None:
         """Detect dead workers and respawn them with backoff + circuit breaker."""
@@ -1028,7 +1066,6 @@ class ServingCluster:
             if channel.alive and channel.last_heartbeat is not None:
                 heartbeat_age = max(0.0, now - channel.last_heartbeat)
             pid = channel.process.pid if channel.process is not None else None
-            pending = channel.batcher.pending if channel.batcher else 0
             workers.append(WorkerHealth(
                 worker_id=channel.worker_id,
                 state=state,
@@ -1037,68 +1074,17 @@ class ServingCluster:
                 consecutive_failures=channel.consecutive_failures,
                 backoff_remaining_s=backoff_remaining,
                 heartbeat_age_s=heartbeat_age,
-                pending=pending,
             ))
-        with self._rr_lock:
-            redispatches = self._redispatches
         return ClusterHealth(
             num_workers=len(self._channels),
             num_alive=sum(1 for w in workers if w.state == "live"),
             num_parked=sum(1 for w in workers if w.state == "parked"),
             total_restarts=sum(w.restarts for w in workers),
-            redispatches=redispatches,
+            redispatches=self._redispatches,
             generation=self._generation,
-            pending=sum(w.pending for w in workers),
+            pending=self._queue.pending,
             workers=workers,
         )
-
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
-    def _pick_channel(self, exclude=None) -> _WorkerChannel | None:
-        """Next live worker, round-robin; ``None`` when none remain."""
-        with self._rr_lock:
-            start = self._rr
-            self._rr += 1
-        n = len(self._channels)
-        for offset in range(n):
-            channel = self._channels[(start + offset) % n]
-            if channel.alive and channel is not exclude:
-                return channel
-        return None
-
-    def _make_predict_fn(self, channel: _WorkerChannel):
-        """The per-worker batched dispatch, with one re-dispatch on death.
-
-        A worker whose process died mid-batch loses nothing but time: the
-        batch is retried once on a live peer (direct dispatch — the peer's
-        own lock serialises it against its micro-batcher).  A worker that
-        merely *timed out* may still complete the forward, so at-most-once
-        forbids the retry and the batch fails with a descriptive error.
-        With no live peer left the batch's futures fail instead of hanging.
-        """
-
-        def predict(windows: np.ndarray) -> np.ndarray:
-            try:
-                return channel.predict(windows)
-            except WorkerDiedError as error:
-                if error.may_have_executed:
-                    raise ClusterError(
-                        f"batch of {windows.shape[0]} timed out on worker "
-                        f"{channel.worker_id} and may still execute; "
-                        "not re-dispatching (at-most-once)"
-                    ) from error
-                peer = self._pick_channel(exclude=channel)
-                if peer is None:
-                    raise ClusterError(
-                        f"batch of {windows.shape[0]} failed: {error}; "
-                        "no live worker left to re-dispatch to"
-                    ) from error
-                with self._rr_lock:
-                    self._redispatches += 1
-                return peer.predict(windows)
-
-        return predict
 
     # ------------------------------------------------------------------ #
     # Front door
@@ -1107,31 +1093,22 @@ class ServingCluster:
                deadline_s: float | None = None) -> Future:
         """Enqueue one ``(h, N, C)`` window; resolves to ``(f, N, ·)``.
 
-        Routed round-robin into one worker's micro-batcher.  ``mask`` and
-        ``deadline_s`` follow the :meth:`MicroBatcher.submit` contract.
-        Under ``max_pending`` pressure, a worker at its watermark is
-        skipped for the next live one; when *every* live worker is
-        saturated the submission is rejected with a typed
-        :class:`~repro.serve.batching.Overloaded` error.  Raises
-        ``RuntimeError`` after :meth:`close` and :class:`ClusterError`
-        when every worker is dead.
+        ``mask`` and ``deadline_s`` follow the
+        :meth:`~repro.serve.batching.AdmissionQueue.submit` contract, and
+        so does the typed :class:`~repro.serve.batching.Overloaded`
+        rejection at the ``max_pending`` watermark.  A submission is
+        accepted while any worker can still pull it, even one that is down
+        waiting for its respawn.  Raises ``RuntimeError`` after
+        :meth:`close` and :class:`ClusterError` once no worker can ever
+        serve again.
         """
         with self._lifecycle:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed ServingCluster")
-        last_error: Overloaded | None = None
-        for _ in range(len(self._channels)):
-            channel = self._pick_channel()
-            if channel is None:
+            if not self._live_pullers:
                 raise ClusterError("no live workers in the cluster")
-            try:
-                return channel.batcher.submit(window, mask=mask,
-                                              deadline_s=deadline_s)
-            except Overloaded as error:
-                last_error = error
-        raise Overloaded(
-            "every live worker is at its pending watermark; shedding new work"
-        ) from last_error
+            return self._queue.submit(window, mask=mask,
+                                      deadline_s=deadline_s)
 
     def predict(self, window: np.ndarray, mask: np.ndarray | None = None,
                 timeout: float | None = None,
@@ -1177,30 +1154,29 @@ class ServingCluster:
         :class:`~repro.serve.online.DriftMonitor` drives both targets
         identically.  Workers process their control pipe serially, so every
         batch dispatched before the broadcast completes on the old
-        generation; batches submitted after it serve from the new one.  A
-        worker that dies mid-swap is marked dead (its batches re-dispatch
-        as usual) — the swap succeeds as long as one worker remains, and
-        raises :class:`ClusterError` otherwise.  A supervised respawn
-        re-applies the newest generation before the replacement rejoins the
-        pool, so a swap is never silently undone by a restart.  Returns the
-        cluster's new generation.
+        generation; batches dispatched after it serve from the new one.  A
+        worker that dies mid-swap is marked dead like any other death — the
+        swap succeeds as long as one worker remains, and raises
+        :class:`ClusterError` otherwise.  A supervised respawn re-applies
+        the newest index set before the replacement takes work, so a swap
+        is never silently undone by a restart.  Returns the cluster's new
+        generation, the count of completed broadcasts.
         """
         with self._lifecycle:
             if self._closed:
                 raise RuntimeError("cannot swap a closed ServingCluster")
         index_set = np.asarray(index_set, dtype=np.int64).ravel()
         with self._swap_lock:
-            generations = []
+            swapped = 0
             for channel in self._channels:
-                if not channel.alive:
-                    continue
-                try:
-                    generations.append(channel.swap(index_set))
+                try:  # a down worker raises too, and catches up on respawn
+                    channel.swap(index_set)
                 except WorkerDiedError:
                     continue
-            if not generations:
+                swapped += 1
+            if not swapped:
                 raise ClusterError("no live worker survived the swap broadcast")
-            self._generation = max(generations)
+            self._generation += 1
             self.index_set = index_set.copy()
             return self._generation
 
@@ -1226,38 +1202,24 @@ class ServingCluster:
 
     @property
     def stats(self) -> BatchStats:
-        """Cluster-wide batching counters (sum over every worker's batcher)."""
-        total = BatchStats()
-        for channel in self._channels:
-            if channel.batcher is not None:
-                total.merge(channel.batcher.stats)
-        return total
-
-    @property
-    def worker_stats(self) -> list[BatchStats]:
-        return [
-            channel.batcher.stats
-            for channel in self._channels
-            if channel.batcher is not None
-        ]
+        """Batching counters of the cluster's admission queue."""
+        return self._queue.stats
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def _teardown(self) -> None:
         for channel in self._channels:
-            if channel.batcher is not None:
-                channel.batcher.close()
-        for channel in self._channels:
             channel.shutdown()
 
     def close(self) -> None:
         """Drain in-flight requests, stop the workers, release the rings.
 
-        Safe to call repeatedly and from several threads.  Every future
-        already submitted resolves (or fails with a descriptive error —
-        dead workers included) before the processes are stopped; late
-        :meth:`submit` calls raise deterministically.
+        Safe to call repeatedly and from several threads.  The live
+        pullers serve every future already submitted before the processes
+        are stopped; whatever no live worker is left to serve fails with a
+        descriptive :class:`ClusterError`.  Late :meth:`submit` calls raise
+        deterministically.
         """
         with self._lifecycle:
             if self._closed:
@@ -1266,6 +1228,10 @@ class ServingCluster:
         self._stop_supervisor.set()
         if self._supervisor is not None:
             self._supervisor.join(timeout=10.0)
+        self._queue.close()
+        self._notify_pool()
+        for puller in self._pullers:
+            puller.join()
         self._teardown()
 
     def __enter__(self) -> "ServingCluster":

@@ -32,7 +32,7 @@ class FaultEvent:
 
     ``request_index`` counts the jobs a worker serves (0-based), not the
     cluster-wide sequence number — the schedule stays deterministic no
-    matter how the round-robin interleaves with other workers.
+    matter how the workers' pulls from the shared queue interleave.
     """
 
     worker_id: int

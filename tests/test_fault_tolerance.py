@@ -248,6 +248,74 @@ class TestAdmissionControl:
 
 
 # --------------------------------------------------------------------- #
+# Fault survival: the standard two-kill plan over a pulled queue
+# --------------------------------------------------------------------- #
+@pytest.fixture(
+    scope="module",
+    params=[
+        {"max_wait_ms": 0.0},
+        {"max_wait_ms": 2.0, "deadline_s": 120.0},
+    ],
+    ids=["no-wait", "wait-2ms-deadline"],
+)
+def two_kill_burst(request, bundle):
+    """64 concurrent submissions through a supervised 2-worker cluster
+    while ``FaultPlan(workers=2, seed=0, horizon=16, kills_per_worker=1)``
+    SIGKILLs each worker once.  Returns the windows, each request's outcome
+    (its prediction, its exception, or ``"unresolved"``) and the health."""
+    from concurrent.futures import TimeoutError as FutureTimeoutError
+
+    path, config = bundle
+    params = dict(request.param)
+    deadline_s = params.pop("deadline_s", None)
+    plan = FaultPlan(workers=2, seed=0, horizon=16, kills_per_worker=1)
+    burst = np.random.default_rng(5).normal(
+        size=(64, config.history, config.num_nodes, config.input_dim)
+    )
+    outcomes = []
+    with ServingCluster(path, workers=2, max_batch=1, supervise=True,
+                        supervise_interval_s=0.02, restart_backoff_s=0.05,
+                        restart_backoff_ceiling_s=0.4, fault_plan=plan,
+                        **params) as cluster:
+        futures = [cluster.submit(window, deadline_s=deadline_s)
+                   for window in burst]
+        for future in futures:
+            try:
+                outcomes.append(future.result(timeout=120))
+            except FutureTimeoutError:
+                outcomes.append("unresolved")
+            except Exception as error:  # noqa: BLE001 - asserted typed
+                outcomes.append(error)
+        health = cluster.health()
+    return burst, outcomes, health
+
+
+class TestFaultSurvival:
+    def test_two_kills_lose_at_most_two_of_64(self, two_kill_burst):
+        _, outcomes, _ = two_kill_burst
+        ok = [o for o in outcomes if isinstance(o, np.ndarray)]
+        failures = [o for o in outcomes if isinstance(o, BaseException)]
+        assert len(ok) >= 62
+        assert not any(isinstance(o, str) for o in outcomes)  # unresolved
+        assert all(isinstance(error, ClusterError) for error in failures)
+
+    def test_survivors_are_bit_identical(self, bundle, two_kill_burst):
+        path, _ = bundle
+        burst, outcomes, _ = two_kill_burst
+        service = ForecastService.from_checkpoint(path)
+        for window, outcome in zip(burst, outcomes):
+            if isinstance(outcome, np.ndarray):
+                assert np.array_equal(outcome,
+                                      service.predict(window[None])[0])
+
+    def test_each_killed_batch_is_requeued(self, two_kill_burst):
+        """A SIGKILLed worker never started its batch, so each kill puts
+        exactly one batch back on the queue instead of failing it."""
+        _, _, health = two_kill_burst
+        assert health.redispatches == 2
+
+
+# --------------------------------------------------------------------- #
 # Supervised recovery + chaos soak
 # --------------------------------------------------------------------- #
 class TestSupervisedRecovery:
@@ -331,6 +399,37 @@ class TestSupervisedRecovery:
                                   ref_fresh)
             assert cluster.health().total_restarts >= 1
 
+    def test_window_submitted_while_down_waits_for_catch_up(self, bundle,
+                                                            windows):
+        """A window submitted while the only worker is down is accepted and
+        served by the respawned worker only after it caught up to the
+        hot-swapped graph: bit-equal to a cold start on the fresh set."""
+        from itertools import combinations
+
+        path, config = bundle
+        bundle_data = load_bundle(path)
+        frozen = np.sort(np.asarray(bundle_data.index_set))
+        fresh = next(
+            np.asarray(combo, dtype=np.int64)
+            for combo in combinations(range(config.num_nodes), frozen.size)
+            if not np.array_equal(combo, frozen)
+        )
+        cold = rehydrate_model(bundle_data)
+        cold._index_set = fresh.copy()
+        ref_fresh = ForecastService(cold).predict(windows[0][None])[0]
+
+        with ServingCluster(path, workers=1, max_batch=1, max_wait_ms=0.0,
+                            supervise=True, supervise_interval_s=0.02,
+                            restart_backoff_s=0.5,
+                            restart_backoff_ceiling_s=1.0) as cluster:
+            assert cluster.swap_index_set(fresh) == 1
+            cluster._channels[0].process.kill()
+            assert _wait_for(lambda: cluster.alive_workers == 0,
+                             timeout_s=60.0)
+            future = cluster.submit(windows[0])
+            assert np.array_equal(future.result(timeout=120), ref_fresh)
+            assert cluster._channels[0].restarts == 1
+
     def test_crash_loop_parks_worker_and_pool_degrades(self, bundle,
                                                        windows):
         """A slot whose respawns keep failing is parked by the circuit
@@ -398,18 +497,34 @@ class TestSupervisedRecovery:
                             supervise=False, fault_plan=plan) as cluster:
             outcomes = {"ok": 0, "corrupt": 0}
             before = cluster.health().redispatches
-            for window in windows[:2]:  # round-robin: one request per worker
+            # A burst deep enough that both workers pull some of it.
+            for future in [cluster.submit(window) for window in windows]:
                 try:
-                    cluster.predict(window, timeout=60)
+                    future.result(timeout=60)
                 except RingCorruptionError as error:
                     assert "not retried" in str(error)
                     outcomes["corrupt"] += 1
                 else:
                     outcomes["ok"] += 1
-            # horizon=1 puts both corruptions on ordinal 0: both first
-            # requests come back damaged, and neither was re-dispatched.
-            assert outcomes["corrupt"] == 2
+            # horizon=1 puts both corruptions on ordinal 0: each worker's
+            # first job comes back damaged, and neither was re-dispatched.
+            assert outcomes == {"ok": len(windows) - 2, "corrupt": 2}
             assert cluster.health().redispatches == before
+
+    def test_timed_out_batch_is_never_requeued(self, bundle, windows):
+        """A batch whose worker timed out may still execute: it fails with a
+        typed error and never goes back to the queue, even with a peer."""
+        path, _ = bundle
+        plan = FaultPlan(workers=2, seed=0, horizon=1, kills_per_worker=0,
+                         stalls_per_worker=1, stall_s=1.5)
+        with ServingCluster(path, workers=2, max_batch=1, max_wait_ms=0.0,
+                            request_timeout_s=0.5, supervise=False,
+                            fault_plan=plan) as cluster:
+            before = cluster.health().redispatches
+            with pytest.raises(ClusterError, match="at-most-once"):
+                cluster.predict(windows[0], timeout=60)
+            assert cluster.health().redispatches == before
+            assert cluster.alive_workers == 1
 
     def test_stall_and_slow_faults_delay_but_serve(self, bundle, windows):
         path, _ = bundle

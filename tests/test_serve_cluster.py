@@ -16,6 +16,7 @@ non-destructive tests.
 
 import asyncio
 import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -106,11 +107,28 @@ class TestClusterServing:
         assert np.allclose(results, service.predict(windows), atol=1e-9)
 
     def test_burst_spreads_over_every_worker(self, cluster4, windows):
-        threads = []
+        """Every worker's puller takes part of a concurrent burst (counted
+        per worker through the channel trace hook; clients keep the burst
+        going until each worker has served, so a starved thread scheduler
+        delays the test instead of failing it)."""
+        dispatches = {channel.worker_id: 0 for channel in cluster4._channels}
+
+        def counter(worker_id):
+            def trace(kind, seq, slot, batch):
+                if kind == "dispatch":
+                    dispatches[worker_id] += 1
+            return trace
+
+        for channel in cluster4._channels:
+            channel.trace = counter(channel.worker_id)
+        stop_at = time.monotonic() + 60.0
 
         def client(window):
             cluster4.predict(window, timeout=60)
+            while min(dispatches.values()) == 0 and time.monotonic() < stop_at:
+                cluster4.predict(window, timeout=60)
 
+        threads = []
         for window in windows:
             for _ in range(2):
                 threads.append(threading.Thread(target=client, args=(window,)))
@@ -118,8 +136,9 @@ class TestClusterServing:
             thread.start()
         for thread in threads:
             thread.join()
-        per_worker = [stats.num_requests for stats in cluster4.worker_stats]
-        assert all(count > 0 for count in per_worker)
+        for channel in cluster4._channels:
+            channel.trace = None
+        assert all(count > 0 for count in dispatches.values())
 
     def test_mask_for_maskless_bundle_is_rejected(self, cluster4, windows):
         with pytest.raises(ValueError, match="mask"):
@@ -134,8 +153,6 @@ class TestClusterServing:
         path, _ = bundle
         with pytest.raises(ValueError):
             ServingCluster(path, workers=0)
-        with pytest.raises(ValueError):
-            ServingCluster(path, workers=1, slots=0)
 
 
 class TestClusterFaults:
@@ -219,7 +236,7 @@ class TestRingWraparound:
         larger micro-batches) stays within float64 round-off of it."""
         path, _ = bundle
         events = []
-        with ServingCluster(path, workers=1, slots=2, max_batch=2,
+        with ServingCluster(path, workers=1, max_batch=2,
                             max_wait_ms=0.5) as cluster:
             channel = cluster._channels[0]
             channel.trace = (
@@ -349,6 +366,25 @@ class TestClusterCLI:
         assert serve_main([str(path), "--workers", "2", "--requests", "5",
                            "--seed", "3", "--output", str(clustered)]) == 0
         assert np.allclose(np.load(single), np.load(clustered), atol=1e-9)
+
+    def test_typed_cluster_failures_are_counted_not_raised(
+            self, bundle, monkeypatch, capsys):
+        """A future failed with a ClusterError is counted as failed on the
+        admission line (never as served), and the CLI exits 1."""
+        from concurrent.futures import Future
+
+        def failed_submit(self, window, mask=None, deadline_s=None):
+            future = Future()
+            future.set_exception(ClusterError("injected worker loss"))
+            return future
+
+        monkeypatch.setattr(ServingCluster, "submit", failed_submit)
+        path, _ = bundle
+        code = serve_main([str(path), "--workers", "2", "--requests", "3"])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "served 0 requests" in printed
+        assert "3 failed" in printed
 
     def test_invalid_workers_flag(self, bundle):
         path, _ = bundle
