@@ -83,20 +83,6 @@ class BatchStats:
         with self._lock:
             self.num_rejected += count
 
-    def merge(self, other: "BatchStats") -> None:
-        """Fold ``other``'s counters into this one."""
-        with other._lock:
-            requests, batches = other.num_requests, other.num_batches
-            largest, failed = other.max_batch_size, other.num_failed_batches
-            expired, rejected = other.num_expired, other.num_rejected
-        with self._lock:
-            self.num_requests += requests
-            self.num_batches += batches
-            self.max_batch_size = max(self.max_batch_size, largest)
-            self.num_failed_batches += failed
-            self.num_expired += expired
-            self.num_rejected += rejected
-
     @property
     def mean_batch_size(self) -> float:
         return self.num_requests / self.num_batches if self.num_batches else 0.0

@@ -9,8 +9,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def run_perf():
+def _load_runner():
     spec = importlib.util.spec_from_file_location(
         "run_perf", REPO_ROOT / "benchmarks" / "perf" / "run_perf.py"
     )
@@ -19,18 +18,36 @@ def run_perf():
     return module
 
 
+RUNNER = _load_runner()
+GATES = {gate.flag: (name, gate)
+         for name, spec in RUNNER.SECTIONS.items() for gate in spec.gates}
+
+TINY = ["--sizes", "24", "--m", "6", "--heads", "2", "--embedding-dim", "4",
+        "--ffn-hidden", "4", "--hidden", "4", "--repeats", "1"]
+# Per section: the tiny knobs it reads and a bound each of its gates passes.
+SECTION_ARGS = {
+    "results": [],
+    "scaling": ["--scaling-sizes", "24", "--scaling-embedding-dim", "4",
+                "--assert-scaling-peak-mb", "512"],
+    "recurrence": ["--assert-recurrence-speedup", "0.01",
+                   "--assert-serve-batch-growth", "0.01"],
+    "cluster": ["--cluster-workers", "1", "2", "--cluster-requests", "8",
+                "--assert-cluster-efficiency", "0.01"],
+    "online": ["--online-steps", "16", "--assert-swap-parity"],
+    "faults": ["--cluster-requests", "16", "--assert-fault-recovery"],
+}
+
+
+@pytest.fixture(scope="module")
+def run_perf():
+    return RUNNER
+
+
 @pytest.fixture(scope="module")
 def tiny_report(run_perf, tmp_path_factory):
     output = tmp_path_factory.mktemp("perf") / "bench.json"
     report = run_perf.main(
-        [
-            "--sizes", "24",
-            "--m", "6",
-            "--heads", "2",
-            "--embedding-dim", "4",
-            "--ffn-hidden", "4",
-            "--hidden", "4",
-            "--repeats", "1",
+        TINY + [
             "--scaling-sizes", "24", "48",
             "--scaling-embedding-dim", "4",
             "--scaling-budget-mb", "8",
@@ -62,20 +79,8 @@ class TestPerfRunner:
         for entry in report["results"]:
             assert entry["attention_vectorized_ms"] > 0
             assert entry["gconv_ms"] > 0
-            assert entry["train_step_ms"] > 0
             assert "attention_loop_ms" not in entry
         assert "attention_speedup_vs_seed" not in report
-
-    def test_serve_section_present_and_sane(self, tiny_report):
-        report, _ = tiny_report
-        serve = report["serve"]
-        assert serve["frozen_graph"] is True
-        batch_sizes = [entry["batch_size"] for entry in serve["results"]]
-        assert batch_sizes == [1, 8, 32]
-        for entry in serve["results"]:
-            assert entry["latency_p50_ms"] > 0
-            assert entry["latency_p95_ms"] >= entry["latency_p50_ms"]
-            assert entry["throughput_rps"] > 0
 
     def test_scaling_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
@@ -91,31 +96,11 @@ class TestPerfRunner:
             assert entry["chunked_equals_unchunked"] is True
             assert entry["unchunked_peak_mem_mb"] > 0
 
-    def test_scaling_only_mode(self, run_perf, tmp_path):
-        output = tmp_path / "scaling.json"
-        report = run_perf.main(
-            [
-                "--scaling-only",
-                "--scaling-sizes", "24",
-                "--scaling-embedding-dim", "4",
-                "--m", "6",
-                "--heads", "2",
-                "--ffn-hidden", "4",
-                "--repeats", "1",
-                "--assert-scaling-peak-mb", "512",
-                "--output", str(output),
-            ]
-        )
-        assert report["benchmark"] == "attention-scaling"
-        on_disk = json.loads(output.read_text())
-        assert "results" not in on_disk  # only the scaling section is written
-        run_perf.validate_scaling(on_disk["scaling"])
-
     def test_scaling_peak_assertion_fails_when_exceeded(self, run_perf, tmp_path):
         with pytest.raises(SystemExit):
             run_perf.main(
                 [
-                    "--scaling-only",
+                    "--section", "scaling",
                     "--scaling-sizes", "24",
                     "--scaling-embedding-dim", "4",
                     "--m", "6",
@@ -159,7 +144,9 @@ class TestPerfRunner:
             "within_budget": True, "chunked_equals_unchunked": False,
         }
         with pytest.raises(ValueError, match="diverged"):
-            run_perf.validate_scaling({"memory_budget_mb": 1.0, "results": [entry]})
+            run_perf.validate_section(
+                "scaling", {"memory_budget_mb": 1.0, "results": [entry]}
+            )
 
     def test_checked_in_bench_json_is_valid(self, run_perf):
         """The committed BENCH_attention.json must satisfy the current schema."""
@@ -170,11 +157,117 @@ class TestPerfRunner:
         assert {200, 2000} <= node_counts
 
 
+class TestSections:
+    @pytest.mark.parametrize("name", list(RUNNER.SECTIONS))
+    def test_single_section_report(self, run_perf, name, tmp_path, monkeypatch):
+        """One section writes a report holding only it, at its default name."""
+        monkeypatch.setattr(run_perf, "REPO_ROOT", tmp_path)
+        report = run_perf.main(["--section", name] + TINY + SECTION_ARGS[name])
+        on_disk = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
+        assert on_disk == json.loads(json.dumps(report))
+        assert set(on_disk) == {"benchmark", "schema_version", "config", name}
+        assert on_disk["benchmark"] == f"attention-{name}"
+        run_perf.validate_schema(on_disk, [name])
+
+    @pytest.mark.parametrize("flag", list(GATES))
+    def test_gate_without_its_section_is_a_parser_error(self, run_perf, flag,
+                                                        tmp_path):
+        name, gate = GATES[flag]
+        other = next(section for section in run_perf.SECTIONS if section != name)
+        argv = ["--section", other, flag] + ([] if gate.type is None else ["1"])
+        with pytest.raises(SystemExit) as excinfo:
+            run_perf.main(argv + ["--output", str(tmp_path / "x.json")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--section", "serve"], ["--sizes", "0"], ["--m", "0"],
+         ["--cluster-workers", "0"], ["--online-steps", "2"]],
+        ids=["unknown-section", "sizes", "m", "cluster-workers", "online-steps"],
+    )
+    def test_invalid_values_are_parser_errors(self, run_perf, argv, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_perf.main(argv + ["--output", str(tmp_path / "x.json")])
+        assert excinfo.value.code == 2
+
+    def test_default_run_selects_every_section_in_table_order(self, run_perf,
+                                                              tiny_report):
+        report, _ = tiny_report
+        assert [key for key in report if key in run_perf.SECTIONS] == list(
+            run_perf.SECTIONS)
+        assert "serve" not in report
+        assert all("train_step_ms" not in entry for entry in report["results"])
+
+
+FAULTS_OK = {
+    "baseline": {"unresolved": 0}, "faulted": {"unresolved": 0},
+    "pool_restored": True, "parked_workers": 0,
+    "recovery_s": 0.5, "restart_backoff_ceiling_s": 8.0,
+}
+# Per gate: a section it passes at ``bound``, then violating variants of it.
+GATE_CASES = {
+    "--assert-scaling-peak-mb": (
+        2.0, {"results": [{"num_nodes": 24, "peak_mem_mb": 1.0}]},
+        [{"results": [{"num_nodes": 24, "peak_mem_mb": 1.0},
+                      {"num_nodes": 48, "peak_mem_mb": 3.0}]}],
+    ),
+    "--assert-recurrence-speedup": (
+        1.3, {"results": [{"num_nodes": 2000, "kernel_speedup": 1.5}]},
+        [{"results": [{"num_nodes": 2000, "kernel_speedup": 1.2}]}],
+    ),
+    "--assert-serve-batch-growth": (
+        1.5, {"throughput_batch8_over_batch1": 1.8},
+        [{"throughput_batch8_over_batch1": 1.2},
+         {"throughput_batch8_over_batch1": None}],
+    ),
+    "--assert-cluster-efficiency": (
+        0.7, {"results": [{"workers": 1, "scaling_efficiency": 1.0},
+                          {"workers": 2, "scaling_efficiency": 0.8}]},
+        [{"results": [{"workers": 1, "scaling_efficiency": 1.0},
+                      {"workers": 2, "scaling_efficiency": 0.6}]},
+         {"results": [{"workers": 2, "scaling_efficiency": None}]}],
+    ),
+    "--assert-swap-parity": (
+        True, {"swap_parity": True, "forecast_during_swap_errors": 0},
+        [{"swap_parity": False, "forecast_during_swap_errors": 0},
+         {"swap_parity": True, "forecast_during_swap_errors": 2}],
+    ),
+    "--assert-fault-recovery": (
+        True, FAULTS_OK,
+        [dict(FAULTS_OK, faulted={"unresolved": 3}),
+         dict(FAULTS_OK, pool_restored=False),
+         dict(FAULTS_OK, parked_workers=1),
+         dict(FAULTS_OK, recovery_s=9.0)],
+    ),
+}
+
+
+class TestGates:
+    def test_every_gate_has_cases(self):
+        assert set(GATE_CASES) == set(GATES)
+
+    @pytest.mark.parametrize("flag", list(GATE_CASES))
+    def test_gate_passes_a_holding_section(self, flag):
+        bound, good, _ = GATE_CASES[flag]
+        assert GATES[flag][1].check(good, bound) == []
+
+    @pytest.mark.parametrize(
+        "flag, index",
+        [(flag, index) for flag, (_, _, bad) in GATE_CASES.items()
+         for index in range(len(bad))],
+    )
+    def test_gate_rejects_a_violating_section(self, flag, index):
+        bound, _, bad = GATE_CASES[flag]
+        problems = GATES[flag][1].check(bad[index], bound)
+        assert problems and all(isinstance(p, str) and p for p in problems)
+
+
 class TestRecurrenceSection:
     def test_recurrence_section_present_and_sane(self, tiny_report):
         report, _ = tiny_report
         recurrence = report["recurrence"]
-        assert report["schema_version"] == 11
+        assert report["schema_version"] == 12
         assert recurrence["history"] > 0 and recurrence["horizon"] > 0
         (entry,) = recurrence["results"]
         assert entry["num_nodes"] == 24
@@ -188,45 +281,12 @@ class TestRecurrenceSection:
         assert batch_sizes == [1, 8, 32]
         assert recurrence["throughput_batch8_over_batch1"] > 0
 
-    def test_recurrence_only_mode(self, run_perf, tmp_path):
-        output = tmp_path / "recurrence.json"
-        report = run_perf.main(
-            [
-                "--recurrence-only",
-                "--sizes", "24",
-                "--recurrence-sizes", "24",
-                "--m", "6",
-                "--heads", "2",
-                "--embedding-dim", "4",
-                "--ffn-hidden", "4",
-                "--hidden", "4",
-                "--repeats", "1",
-                "--assert-recurrence-speedup", "0.01",
-                "--assert-serve-batch-growth", "0.01",
-                "--output", str(output),
-            ]
-        )
-        assert report["benchmark"] == "attention-recurrence"
-        on_disk = json.loads(output.read_text())
-        assert "results" not in on_disk  # only the recurrence section is written
-        run_perf.validate_recurrence(on_disk["recurrence"])
-
     def test_recurrence_speedup_assertion_fails_when_below(self, run_perf, tmp_path):
         with pytest.raises(SystemExit):
             run_perf.main(
-                [
-                    "--recurrence-only",
-                    "--sizes", "24",
-                    "--recurrence-sizes", "24",
-                    "--m", "6",
-                    "--heads", "2",
-                    "--embedding-dim", "4",
-                    "--ffn-hidden", "4",
-                    "--hidden", "4",
-                    "--repeats", "1",
-                    "--assert-recurrence-speedup", "1000",
-                    "--output", str(tmp_path / "r.json"),
-                ]
+                ["--section", "recurrence"] + TINY
+                + ["--assert-recurrence-speedup", "1000",
+                   "--output", str(tmp_path / "r.json")]
             )
 
     def test_recurrence_validator_rejects_missing_keys(self, run_perf):
@@ -234,25 +294,14 @@ class TestRecurrenceSection:
                  "forward_ms": 2.0, "kernel_ms": 1.0, "train_ms": 5.0,
                  "kernel_speedup": 2.0, "per_step_kernel_ms": 0.1,
                  "max_rel_diff_kernel": 1e-7}
+        serve = {"batch_size": 1, "latency_p50_ms": 1.0, "throughput_rps": 1000.0}
         good = {"history": 6, "horizon": 6, "results": [entry],
-                "serve_throughput": [], "throughput_batch8_over_batch1": None}
-        run_perf.validate_recurrence(good)  # must not raise
+                "serve_throughput": [serve], "throughput_batch8_over_batch1": None}
+        run_perf.validate_section("recurrence", good)  # must not raise
         legacy = {key: value for key, value in entry.items() if key != "forward_ms"}
         legacy.update(reference_ms=3.0, fused_ms=2.0)  # the schema-v9 layout
         with pytest.raises(ValueError, match="forward_ms"):
-            run_perf.validate_recurrence(dict(good, results=[legacy]))
-
-    def test_scaling_and_recurrence_only_are_exclusive(self, run_perf, tmp_path):
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--scaling-only", "--recurrence-only",
-                 "--output", str(tmp_path / "x.json")]
-            )
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--scaling-only", "--cluster-only",
-                 "--output", str(tmp_path / "x.json")]
-            )
+            run_perf.validate_section("recurrence", dict(good, results=[legacy]))
 
 
 class TestClusterSection:
@@ -270,74 +319,29 @@ class TestClusterSection:
         assert cluster["results"][0]["scaling_efficiency"] == pytest.approx(1.0)
         assert cluster["throughput_workers2_over_workers1"] > 0
 
-    def test_cluster_only_mode(self, run_perf, tmp_path):
-        output = tmp_path / "cluster.json"
-        report = run_perf.main(
-            [
-                "--cluster-only",
-                "--sizes", "24",
-                "--m", "6",
-                "--heads", "2",
-                "--embedding-dim", "4",
-                "--ffn-hidden", "4",
-                "--hidden", "4",
-                "--repeats", "1",
-                "--cluster-workers", "1", "2",
-                "--cluster-requests", "8",
-                "--assert-cluster-efficiency", "0.01",
-                "--output", str(output),
-            ]
-        )
-        assert report["benchmark"] == "attention-cluster"
-        on_disk = json.loads(output.read_text())
-        assert "results" not in on_disk  # only the cluster section is written
-        run_perf.validate_cluster(on_disk["cluster"])
-
     def test_cluster_efficiency_assertion_fails_when_below(self, run_perf,
                                                            tmp_path):
         """Superlinear threshold: no host can satisfy efficiency >= 100."""
         with pytest.raises(SystemExit, match="efficiency"):
             run_perf.main(
-                [
-                    "--cluster-only",
-                    "--sizes", "24",
-                    "--m", "6",
-                    "--heads", "2",
-                    "--embedding-dim", "4",
-                    "--ffn-hidden", "4",
-                    "--hidden", "4",
-                    "--repeats", "1",
-                    "--cluster-workers", "1", "2",
-                    "--cluster-requests", "8",
-                    "--assert-cluster-efficiency", "100",
-                    "--output", str(tmp_path / "c.json"),
-                ]
-            )
-
-    def test_cluster_only_is_exclusive_and_validated(self, run_perf, tmp_path):
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--cluster-only", "--online-only",
-                 "--output", str(tmp_path / "x.json")]
-            )
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--cluster-workers", "0",
-                 "--output", str(tmp_path / "x.json")]
+                ["--section", "cluster"] + TINY
+                + ["--cluster-workers", "1", "2",
+                   "--cluster-requests", "8",
+                   "--assert-cluster-efficiency", "100",
+                   "--output", str(tmp_path / "c.json")]
             )
 
     def test_cluster_validator_rejects_missing_keys(self, run_perf):
-        with pytest.raises(ValueError, match="non-empty results"):
-            run_perf.validate_cluster({"results": []})
+        section = {
+            "num_nodes": 1, "requests": 8, "max_batch": 8,
+            "dtype": "float32",
+            "throughput_workers2_over_workers1": None,
+            "results": [{"workers": 1}],
+        }
+        with pytest.raises(ValueError, match="non-empty"):
+            run_perf.validate_section("cluster", dict(section, results=[]))
         with pytest.raises(ValueError, match="missing key"):
-            run_perf.validate_cluster(
-                {
-                    "num_nodes": 1, "requests": 8, "max_batch": 8,
-                    "dtype": "float32",
-                    "throughput_workers2_over_workers1": None,
-                    "results": [{"workers": 1}],
-                }
-            )
+            run_perf.validate_section("cluster", section)
 
 
 class TestOnlineSection:
@@ -358,49 +362,9 @@ class TestOnlineSection:
         assert online["swap_parity"] is True
         assert online["generation"] >= 1
 
-    def test_online_only_mode_with_parity_gate(self, run_perf, tmp_path):
-        output = tmp_path / "online.json"
-        report = run_perf.main(
-            [
-                "--online-only",
-                "--sizes", "24",
-                "--m", "6",
-                "--heads", "2",
-                "--embedding-dim", "4",
-                "--ffn-hidden", "4",
-                "--hidden", "4",
-                "--repeats", "1",
-                "--online-steps", "16",
-                "--assert-swap-parity",
-                "--output", str(output),
-            ]
-        )
-        assert report["benchmark"] == "attention-online"
-        on_disk = json.loads(output.read_text())
-        assert "results" not in on_disk  # only the online section is written
-        run_perf.validate_online(on_disk["online"])
-
-    def test_online_only_is_exclusive(self, run_perf, tmp_path):
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--online-only", "--cluster-only",
-                 "--output", str(tmp_path / "x.json")]
-            )
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--online-steps", "2", "--output", str(tmp_path / "x.json")]
-            )
-
-    def test_parity_gate_needs_online_section(self, run_perf, tmp_path):
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--cluster-only", "--assert-swap-parity",
-                 "--output", str(tmp_path / "x.json")]
-            )
-
     def test_online_validator_rejects_missing_keys_and_errors(self, run_perf):
         with pytest.raises(ValueError, match="missing key"):
-            run_perf.validate_online({"num_nodes": 24})
+            run_perf.validate_section("online", {"num_nodes": 24})
         good = {
             "num_nodes": 24, "num_significant": 6, "dtype": "float32",
             "steps": 16, "push_rows_per_s": 1.0, "push_ms_per_step": 1.0,
@@ -411,10 +375,10 @@ class TestOnlineSection:
             "forecast_during_swap_errors": 0, "swaps_during_forecast": 1,
             "swap_parity": True, "generation": 1,
         }
-        run_perf.validate_online(good)  # must not raise
+        run_perf.validate_section("online", good)  # must not raise
         with pytest.raises(ValueError, match="errored"):
-            run_perf.validate_online(
-                dict(good, forecast_during_swap_errors=2)
+            run_perf.validate_section(
+                "online", dict(good, forecast_during_swap_errors=2)
             )
 
 
@@ -445,47 +409,9 @@ class TestFaultsSection:
         assert (faults["recovery_s"]
                 <= faults["restart_backoff_ceiling_s"] + 120)
 
-    def test_faults_only_mode_with_recovery_gate(self, run_perf, tmp_path):
-        output = tmp_path / "faults.json"
-        report = run_perf.main(
-            [
-                "--faults-only",
-                "--sizes", "24",
-                "--m", "6",
-                "--heads", "2",
-                "--embedding-dim", "4",
-                "--ffn-hidden", "4",
-                "--hidden", "4",
-                "--repeats", "1",
-                "--cluster-requests", "16",
-                "--assert-fault-recovery",
-                "--output", str(output),
-            ]
-        )
-        assert report["benchmark"] == "attention-faults"
-        on_disk = json.loads(output.read_text())
-        assert "results" not in on_disk  # only the faults section is written
-        run_perf.validate_faults(on_disk["faults"])
-
-    def test_faults_only_is_exclusive_and_gated(self, run_perf, tmp_path):
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--faults-only", "--cluster-only",
-                 "--output", str(tmp_path / "x.json")]
-            )
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--cluster-only", "--assert-fault-recovery",
-                 "--output", str(tmp_path / "x.json")]
-            )
-        with pytest.raises(SystemExit):
-            run_perf.main(
-                ["--fault-workers", "0", "--output", str(tmp_path / "x.json")]
-            )
-
     def test_faults_validator_rejects_missing_and_unresolved(self, run_perf):
         with pytest.raises(ValueError, match="missing key"):
-            run_perf.validate_faults({"num_nodes": 24})
+            run_perf.validate_section("faults", {"num_nodes": 24})
         good = {
             "num_nodes": 24, "workers": 2, "requests": 16, "max_batch": 1,
             "plan": {"workers": 2, "seed": 0, "horizon": 4, "events": 2,
@@ -501,8 +427,8 @@ class TestFaultsSection:
             "total_restarts": 2, "redispatches": 1,
             "restart_backoff_s": 0.1, "restart_backoff_ceiling_s": 8.0,
         }
-        run_perf.validate_faults(good)  # must not raise
+        run_perf.validate_section("faults", good)  # must not raise
         with pytest.raises(ValueError, match="never resolved"):
-            run_perf.validate_faults(
-                dict(good, faulted=dict(good["faulted"], unresolved=3))
+            run_perf.validate_section(
+                "faults", dict(good, faulted=dict(good["faulted"], unresolved=3))
             )

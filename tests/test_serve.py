@@ -327,18 +327,6 @@ class TestBatchStatsThreadSafety:
         assert stats.num_requests == rounds * threads_n
         assert stats.num_batches == rounds * threads_n
 
-    def test_merge_accumulates(self):
-        total = BatchStats()
-        part = BatchStats()
-        part.record(3)
-        part.record(5, failed=True)
-        total.merge(part)
-        total.merge(part)
-        assert total.num_requests == 16
-        assert total.num_batches == 4
-        assert total.max_batch_size == 5
-        assert total.num_failed_batches == 2
-
 
 class TestMaskThroughBatcher:
     def _make(self, expected_channels, mask_input, calls):
