@@ -288,13 +288,14 @@ def bench_recurrence(args) -> dict:
             rng = np.random.default_rng(0)
             model = _model(args, num_nodes, history, horizon)
             service = ForecastService(model)
-            adjacency, degree_scale = service._adjacency_tensor, service._degree_scale_tensor
-            index_set = service.frozen.index_set
+            frozen = service.frozen
+            adjacency, degree_scale = Tensor(frozen.adjacency), Tensor(frozen.degree_scale)
             window = _windows(rng, model, 1)
             x = Tensor(window)
 
             def forward():
-                return model.forecaster(x, adjacency, index_set, degree_scale=degree_scale)
+                return model.forecaster(x, adjacency, frozen.index_set,
+                                        degree_scale=degree_scale)
 
             def train_direction():
                 model.zero_grad()
@@ -738,6 +739,9 @@ def validate_schema(report: dict, sections=tuple(SECTIONS)) -> None:
     for key in ("benchmark", "schema_version", "config", *sections):
         if key not in report:
             raise ValueError(f"missing top-level key {key!r}")
+    if report["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"report has schema_version {report['schema_version']}, "
+                         f"this runner validates version {SCHEMA_VERSION}")
     for name in sections:
         validate_section(name, report[name])
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class SAGDFNConfig:
@@ -181,13 +179,6 @@ class SAGDFNConfig:
     def num_quantiles(self) -> int:
         """Number of decoder quantile heads (1 for a point forecaster)."""
         return len(self.quantiles) if self.quantiles is not None else 1
-
-    @property
-    def median_index(self) -> int:
-        """Index of the quantile fed back to the decoder (closest to 0.5)."""
-        if self.quantiles is None:
-            return 0
-        return int(np.argmin(np.abs(np.asarray(self.quantiles) - 0.5)))
 
     @classmethod
     def paper_setting(cls, num_nodes: int, history: int = 12, horizon: int = 12) -> "SAGDFNConfig":

@@ -39,8 +39,8 @@ The kernel snapshots the cells' weights at construction (the
 parameters are frozen for the service's lifetime).  Outputs match the
 autograd forward to BLAS summation-order precision (≤ 1e-10 relative in
 float64; the sigmoid drops the reference's upper input clamp at +60, which
-changes saturated gates by < 1e-26).  Pass ``use_kernel=False`` to the
-service for bit-parity with the trainer forward.
+changes saturated gates by < 1e-26).  It is the service's only request
+path; the autograd forward is the reference it is tested against.
 
 Only inference is supported: no teacher forcing, no gradients.
 """

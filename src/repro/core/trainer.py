@@ -44,10 +44,6 @@ class TrainingHistory:
     lrs: list[float] = field(default_factory=list)
 
     @property
-    def best_val_mae(self) -> float:
-        return min(self.val_maes) if self.val_maes else float("nan")
-
-    @property
     def num_epochs(self) -> int:
         return len(self.train_losses)
 

@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(the whole queue, shared by every worker); beyond "
                              "it new requests are rejected with a typed "
                              "Overloaded error instead of queueing")
-    parser.add_argument("--no-freeze", action="store_true",
-                        help="re-derive the graph on every request (debugging only)")
     parser.add_argument("--chunk-size", type=int, default=None,
                         help="large-N memory knob: node-block size of the SNS ranking "
                              "and attention scoring at graph-freeze time")
@@ -220,8 +218,6 @@ def _report_admission(args, rejected: int, shed: int, failed: int) -> int:
 def _serve_cluster(args) -> int:
     from repro.serve.cluster import ServingCluster
 
-    if args.no_freeze:
-        raise SystemExit("--no-freeze is a single-process debugging flag; drop --workers")
     windows = _load_windows(args, _load_bundle_or_exit(args.checkpoint).config)
     load_start = time.perf_counter()
     with ServingCluster(
@@ -325,8 +321,6 @@ def _load_stream(args, config: dict) -> tuple[np.ndarray, np.ndarray | None]:
 def _serve_online(args) -> int:
     from repro.serve.online import DriftConfig, SessionManager
 
-    if args.no_freeze:
-        raise SystemExit("--online serves the frozen graph; drop --no-freeze")
     if args.sessions < 1:
         raise SystemExit("--sessions must be >= 1")
     if args.forecast_every < 1:
@@ -426,13 +420,11 @@ def main(argv=None) -> int:
     _load_bundle_or_exit(args.checkpoint)  # one-line exit on missing/corrupt paths
     service = ForecastService.from_checkpoint(
         args.checkpoint,
-        freeze_graph=not args.no_freeze,
         chunk_size=args.chunk_size,
         memory_budget_mb=args.memory_budget_mb,
     )
     load_ms = (time.perf_counter() - load_start) * 1000.0
-    mode = "frozen-graph" if service.frozen is not None else "full-forward"
-    print(f"loaded {args.checkpoint} in {load_ms:.1f} ms ({mode} mode)")
+    print(f"loaded {args.checkpoint} in {load_ms:.1f} ms")
 
     windows = _load_windows(args, service.config)
     serve_start = time.perf_counter()

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.model import SAGDFN
+from repro.core.serving_kernel import FrozenRecurrenceKernel
 from repro.data.scalers import StandardScaler
-from repro.nn.module import Module
-from repro.tensor import Tensor, no_grad
+from repro.tensor import no_grad
 from repro.utils.checkpoint import load_bundle, rehydrate_model, rehydrate_scaler
 
 
@@ -35,12 +36,12 @@ class FrozenGraph:
     degree_scale: np.ndarray
 
     @classmethod
-    def from_model(cls, model: Module) -> "FrozenGraph":
+    def from_model(cls, model: SAGDFN) -> "FrozenGraph":
         """Run SNS + attention once on ``model`` and capture the artefacts."""
         with no_grad():
             adjacency = model.slim_adjacency().data
         index_set = None
-        if not getattr(getattr(model, "config", None), "use_predefined_graph", False):
+        if not model.config.use_predefined_graph:
             index_set = np.asarray(model.index_set, dtype=np.int64)
         degree_scale = 1.0 / (adjacency.sum(axis=-1, keepdims=True) + 1.0)
         return cls(
@@ -54,112 +55,86 @@ class FrozenGraph:
 class _ServingState:
     """One generation of frozen serving artefacts, swapped as a unit.
 
-    Everything :meth:`ForecastService._forward` needs lives in this holder
+    Everything :meth:`ForecastService.predict` needs lives in this holder
     so a drift-triggered hot swap is a single attribute store (atomic under
     the GIL): in-flight requests that already read the holder finish on the
     old kernel — drained, never interrupted — while new requests pick up the
     fresh generation.
     """
 
-    frozen: FrozenGraph | None = None
-    adjacency: Tensor | None = None
-    degree_scale: Tensor | None = None
-    kernel: object | None = None
-    generation: int = 0
+    frozen: FrozenGraph
+    kernel: FrozenRecurrenceKernel
+    generation: int
 
 
 class ForecastService:
-    """Serve forecast requests from a trained model at high throughput.
+    """Serve forecast requests from a trained SAGDFN at high throughput.
 
-    In **frozen-graph mode** (the default, and the regime a converged SAGDFN
-    is in anyway) the slim adjacency, index set and degree scales are
-    computed once in ``__init__`` and every :meth:`predict` call runs only
-    the encoder–decoder forward under ``no_grad`` — no re-sampling, no
-    attention, no gradient tape.
+    The slim adjacency, index set and degree scales are computed once in
+    ``__init__`` (the frozen graph a converged SAGDFN serves from) and every
+    :meth:`predict` call runs only the Eq. 9–10 recurrence through the
+    no-grad :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` — no
+    re-sampling, no attention, no gradient tape.  Its output matches the
+    autograd forecaster over the same frozen graph to ≤ 1e-10 relative in
+    float64 (BLAS summation-order noise; ~1e-7 in float32).
 
     Parameters
     ----------
     model:
-        A trained forecaster.  Models exposing ``slim_adjacency()`` /
-        ``index_set`` / ``forecaster`` (SAGDFN) get the frozen fast path;
-        any other :class:`Module` is served through its plain ``forward``.
+        A trained :class:`~repro.core.model.SAGDFN`; any other model raises
+        ``TypeError``.
     scaler:
         The fitted target scaler; predictions are returned in original
         units (``prediction * std + mean``), matching ``Trainer.evaluate``.
-    freeze_graph:
-        Set ``False`` to re-derive the graph on every request (slower;
-        only useful for debugging parity with the training-time forward).
     chunk_size / memory_budget_mb:
         Large-``N`` memory knobs applied to the model's SNS sampler and
         attention *before* the graph is frozen, overriding whatever the
         checkpoint was trained with — serving hardware rarely matches
         training hardware.  The chunked SNS/attention paths are
         bit-identical to the unchunked ones, so the frozen graph never
-        changes.  An explicit ``chunk_size`` additionally blocks the
-        per-request encoder-decoder aggregation of the *module* forward,
-        which matches the unblocked forward to ~1 ulp (not bitwise).  The
-        default serving kernel (see ``use_kernel``) ignores the block size:
-        its preallocated workspace is already bounded by
-        ``O(B·N·J·hidden)``, with no wider transient.  ``None`` leaves the
-        model's own setting untouched.  Like ``model.eval()`` and the graph
-        freeze, the override mutates the passed model **in place** — the
-        service takes ownership; do not keep training (or build
-        differently-tuned services) over the same instance.
-    use_kernel:
-        When the graph is frozen and the model exposes a
-        :class:`~repro.core.encoder_decoder.SAGDFNEncoderDecoder`
-        forecaster, ``True`` (the default) routes requests through the
-        no-grad :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` —
-        a raw-ndarray fused recurrence with a preallocated workspace that
-        matches the module forward to ≤ 1e-10 relative (float64).  ``False``
-        serves through the autograd module forward instead, which is
-        bit-identical to the ``Trainer.evaluate`` path.
+        changes.  The serving kernel needs no block size: its preallocated
+        workspace is already bounded by ``O(B·N·J·hidden)``.  ``None``
+        leaves the model's own setting untouched.  Like ``model.eval()`` and
+        the graph freeze, the override mutates the passed model **in
+        place** — the service takes ownership; do not keep training (or
+        build differently-tuned services) over the same instance.
     """
 
     def __init__(
         self,
-        model: Module,
+        model: SAGDFN,
         scaler: StandardScaler | None = None,
-        freeze_graph: bool = True,
-        config: dict | None = None,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        use_kernel: bool = True,
     ):
+        if not isinstance(model, SAGDFN):
+            raise TypeError(
+                f"ForecastService serves SAGDFN models, got {type(model).__name__}"
+            )
         self.model = model
         self.scaler = scaler
-        self.use_kernel = bool(use_kernel)
         self._apply_memory_knobs(model, chunk_size, memory_budget_mb)
-        self.config = config if config is not None else self._config_dict(model)
-        # Scenario fields (a config that omits them → point/dense).
-        quantiles = self.config.get("quantiles") if self.config else None
+        self.config = asdict(model.config)
+        quantiles = model.config.quantiles
         self.quantiles = None if quantiles is None else tuple(float(q) for q in quantiles)
-        self.mask_input = bool(self.config.get("mask_input", False)) if self.config else False
-        self.exog_dim = int(self.config.get("exog_dim", 0) or 0) if self.config else 0
+        self.mask_input = bool(model.config.mask_input)
+        self.exog_dim = int(model.config.exog_dim)
         model.eval()
-        parameters = model.parameters()
-        self._dtype = parameters[0].dtype if parameters else np.dtype(np.float64)
 
         self._pinned_batches: set[int] = set()
-        state = _ServingState()
-        if freeze_graph and self._supports_frozen_graph(model):
-            if getattr(model, "index_set", None) is None and hasattr(model, "refresh_graph"):
-                # No converged index set came with the model/bundle.  Sample
-                # one as if training had converged (explore=False) so the
-                # frozen graph is at least deterministic, and say so loudly.
-                from repro.utils.logging import get_logger
+        if model.index_set is None:
+            # No converged index set came with the model/bundle.  Sample one
+            # as if training had converged (explore=False) so the frozen
+            # graph is at least deterministic, and say so loudly.
+            from repro.utils.logging import get_logger
 
-                get_logger("repro.serve").warning(
-                    "model has no frozen significant-neighbour index set; "
-                    "sampling one at load time — serve a converged checkpoint "
-                    "for the paper's frozen-graph regime"
-                )
-                convergence = getattr(
-                    getattr(model, "config", None), "convergence_iteration", 0
-                )
-                model.refresh_graph(iteration=convergence)
-            state = self._freeze_state(generation=0)
-        self._state = state
+            get_logger("repro.serve").warning(
+                "model has no frozen significant-neighbour index set; "
+                "sampling one at load time — serve a converged checkpoint "
+                "for the paper's frozen-graph regime"
+            )
+            model.refresh_graph(iteration=model.config.convergence_iteration)
+        self._state = self._freeze_state(generation=0)
         self.num_requests = 0
         # predict() runs concurrently under the multi-threaded/async front
         # door; the read-modify-write counter increment must not race.
@@ -177,52 +152,25 @@ class ForecastService:
         coincidental.
         """
         frozen = FrozenGraph.from_model(self.model)
-        adjacency = Tensor(frozen.adjacency, dtype=self._dtype)
-        degree_scale = Tensor(frozen.degree_scale, dtype=self._dtype)
-        kernel = None
-        if self.use_kernel and hasattr(self.model.forecaster, "encoder_cells"):
-            from repro.core.serving_kernel import FrozenRecurrenceKernel
-
-            kernel = FrozenRecurrenceKernel(
-                self.model.forecaster,
-                frozen.adjacency,
-                frozen.index_set,
-                frozen.degree_scale,
-            )
-            for batch in sorted(self._pinned_batches):
-                kernel.pin_workspace(batch)
-        return _ServingState(
-            frozen=frozen,
-            adjacency=adjacency,
-            degree_scale=degree_scale,
-            kernel=kernel,
-            generation=generation,
+        kernel = FrozenRecurrenceKernel(
+            self.model.forecaster, frozen.adjacency, frozen.index_set, frozen.degree_scale
         )
+        for batch in sorted(self._pinned_batches):
+            kernel.pin_workspace(batch)
+        return _ServingState(frozen=frozen, kernel=kernel, generation=generation)
 
     # ------------------------------------------------------------------ #
     # Generation state (read-only views of the current holder)
     # ------------------------------------------------------------------ #
     @property
-    def frozen(self) -> FrozenGraph | None:
-        """The current generation's frozen graph (``None`` in unfrozen mode)."""
+    def frozen(self) -> FrozenGraph:
+        """The current generation's frozen graph."""
         return self._state.frozen
 
     @property
     def generation(self) -> int:
         """Monotonic counter bumped by every :meth:`swap_index_set`."""
         return self._state.generation
-
-    @property
-    def _kernel(self):
-        return self._state.kernel
-
-    @property
-    def _adjacency_tensor(self) -> Tensor | None:
-        return self._state.adjacency
-
-    @property
-    def _degree_scale_tensor(self) -> Tensor | None:
-        return self._state.degree_scale
 
     def swap_index_set(self, index_set: np.ndarray) -> int:
         """Hot-swap the frozen graph to ``index_set``; returns the new generation.
@@ -237,14 +185,9 @@ class ForecastService:
         already picked up the old generation complete on it undisturbed;
         the old kernel is garbage-collected once they drain.
         """
-        if self._state.frozen is None:
-            raise RuntimeError(
-                "swap_index_set requires a frozen-graph service "
-                "(constructed with freeze_graph=True)"
-            )
         index_set = np.asarray(index_set, dtype=np.int64).ravel()
-        num_nodes = int(self.config.get("num_nodes", 0)) if self.config else 0
-        if num_nodes and (index_set.min() < 0 or index_set.max() >= num_nodes):
+        num_nodes = self.model.config.num_nodes
+        if index_set.min() < 0 or index_set.max() >= num_nodes:
             raise ValueError(
                 f"index_set entries must lie in [0, {num_nodes}), "
                 f"got range [{index_set.min()}, {index_set.max()}]"
@@ -257,52 +200,42 @@ class ForecastService:
             return self._state.generation
 
     @property
-    def expected_channels(self) -> int | None:
+    def expected_channels(self) -> int:
         """Total per-window channel width :meth:`predict` expects.
 
         Endogenous channels plus declared exogenous covariates plus the
         observation-mask channel of mask-aware models — the width the data
         layer produces and the width :class:`~repro.serve.MicroBatcher`
-        validates at submit time.  ``None`` when the service has no config
-        to derive it from (e.g. a bare baseline module).
+        validates at submit time.
         """
-        if not self.config or "input_dim" not in self.config:
-            return None
-        return int(self.config["input_dim"]) + self.exog_dim + int(self.mask_input)
+        return int(self.model.config.input_dim) + self.exog_dim + int(self.mask_input)
 
     def pin_batch_size(self, batch: int) -> None:
         """Preallocate and pin the serving-kernel workspace for ``batch``.
 
         Cluster workers call this once at start-up with their micro-batcher's
         ``max_batch`` so the steady-state batch size neither pays first-
-        request allocation nor is ever evicted by the workspace LRU.  A
-        no-op when the service runs without the frozen-recurrence kernel.
-        Pins are remembered across drift hot-swaps: every generation's fresh
+        request allocation nor is ever evicted by the workspace LRU.  Pins
+        are remembered across drift hot-swaps: every generation's fresh
         kernel re-pins the same batch sizes.
         """
         self._pinned_batches.add(int(batch))
-        kernel = self._state.kernel
-        if kernel is not None:
-            kernel.pin_workspace(batch)
+        self._state.kernel.pin_workspace(batch)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     @staticmethod
     def _apply_memory_knobs(
-        model: Module, chunk_size: int | None, memory_budget_mb: float | None
+        model: SAGDFN, chunk_size: int | None, memory_budget_mb: float | None
     ) -> None:
-        """Override the model's large-N chunking knobs for this serving host.
+        """Override the sampler's and attention's large-N chunking knobs.
 
         A budget-only override clears any ``chunk_size`` the checkpoint was
         trained with — ``chunk_size`` takes precedence inside the modules, so
-        leaving it set would silently ignore the requested budget.  An
-        explicit ``chunk_size`` is also pushed into every
-        :class:`~repro.core.gconv.FastGraphConv` of the forecaster, so the
-        per-request encoder-decoder hot path is blocked too (a budget alone
-        cannot size the gconv blocks — their per-row cost depends on the
-        request batch size).  Invalid values are rejected before any module
-        is touched, with the modules' own messages.
+        leaving it set would silently ignore the requested budget.  Invalid
+        values are rejected before any module is touched, with the modules'
+        own messages.
         """
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 (or None)")
@@ -310,9 +243,7 @@ class ForecastService:
             raise ValueError("memory_budget_mb must be positive (or None)")
         if chunk_size is None and memory_budget_mb is None:
             return
-        for target in (getattr(model, "sampler", None), getattr(model, "attention", None)):
-            if target is None:
-                continue
+        for target in (model.sampler, model.attention):
             if chunk_size is not None:
                 target.chunk_size = chunk_size
                 if memory_budget_mb is not None:
@@ -320,34 +251,13 @@ class ForecastService:
             else:
                 target.chunk_size = None
                 target.memory_budget_mb = memory_budget_mb
-        if chunk_size is not None and hasattr(model, "modules"):
-            from repro.core.gconv import FastGraphConv
-
-            for module in model.modules():
-                if isinstance(module, FastGraphConv):
-                    module.node_chunk_size = chunk_size
-
-    @staticmethod
-    def _supports_frozen_graph(model: Module) -> bool:
-        return hasattr(model, "slim_adjacency") and hasattr(model, "forecaster")
-
-    @staticmethod
-    def _config_dict(model: Module) -> dict:
-        config = getattr(model, "config", None)
-        if config is None:
-            return {}
-        from dataclasses import asdict, is_dataclass
-
-        return asdict(config) if is_dataclass(config) else dict(vars(config))
 
     @classmethod
     def from_checkpoint(
         cls,
         path: str | Path,
-        freeze_graph: bool = True,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        use_kernel: bool = True,
         verify_digest: bool = True,
     ) -> "ForecastService":
         """Rehydrate a service from a serving bundle written by ``save_bundle``.
@@ -355,23 +265,17 @@ class ForecastService:
         The bundle alone is enough: model config, parameters, scaler
         statistics and the SNS sampler state all come out of the archive.
         ``chunk_size`` / ``memory_budget_mb`` override the bundled model's
-        large-N memory knobs for this host and ``use_kernel`` picks the
-        serving path (see :class:`ForecastService`).  ``verify_digest=False`` skips the bundle's
-        SHA-256 payload check (see :func:`repro.utils.load_bundle`) — the
-        serving cluster uses it for workers whose parent already verified
-        the same file.
+        large-N memory knobs for this host (see :class:`ForecastService`).
+        ``verify_digest=False`` skips the bundle's SHA-256 payload check
+        (see :func:`repro.utils.load_bundle`) — the serving cluster uses it
+        for workers whose parent already verified the same file.
         """
         bundle = load_bundle(path, verify_digest=verify_digest)
-        model = cls._build_model(bundle)
-        scaler = rehydrate_scaler(bundle)
         return cls(
-            model,
-            scaler=scaler,
-            freeze_graph=freeze_graph,
-            config=bundle.config,
+            cls._build_model(bundle),
+            scaler=rehydrate_scaler(bundle),
             chunk_size=chunk_size,
             memory_budget_mb=memory_budget_mb,
-            use_kernel=use_kernel,
         )
 
     # The rehydration lives in repro.utils.checkpoint so cluster workers can
@@ -381,22 +285,6 @@ class ForecastService:
     # ------------------------------------------------------------------ #
     # Inference
     # ------------------------------------------------------------------ #
-    def _forward(self, history: Tensor) -> Tensor:
-        # One holder read: a concurrent swap_index_set publishes a complete
-        # new generation, so this forward runs entirely on one generation —
-        # never a mix of old adjacency and new kernel.
-        state = self._state
-        if state.frozen is not None:
-            if state.kernel is not None:
-                return Tensor(state.kernel(history.data), dtype=self._dtype)
-            return self.model.forecaster(
-                history,
-                state.adjacency,
-                state.frozen.index_set,
-                degree_scale=state.degree_scale,
-            )
-        return self.model(history)
-
     def predict(self, history: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Forecast a batch of normalised histories ``(B, h, N, C)``.
 
@@ -408,11 +296,7 @@ class ForecastService:
         appended as the trailing input channel, exactly as the training data
         layer does.  A mask-aware request may equally arrive with the mask
         already in ``history``'s last channel, in which case ``mask`` must
-        be omitted.  Through the default serving kernel the output matches
-        the ``Trainer.evaluate`` forward path to ≤ 1e-10 relative in float64
-        (BLAS summation-order noise; ~1e-7 in float32); construct the
-        service with ``use_kernel=False`` when bit-identical parity with the
-        trainer forward is required.
+        be omitted.
         """
         history = np.asarray(history)
         if history.ndim != 4:
@@ -433,13 +317,17 @@ class ForecastService:
             history = np.concatenate(
                 [history, mask[..., None].astype(history.dtype, copy=False)], axis=-1
             )
-        with no_grad():
-            output = self._forward(Tensor(history, dtype=self._dtype))
-            if self.scaler is not None:
-                output = output * self.scaler.std_ + self.scaler.mean_
+        # One holder read: a concurrent swap_index_set publishes a complete
+        # new generation, so this request runs entirely on one generation.
+        # The kernel returns a fresh array, so un-scaling may work in place;
+        # the statistics are cast to its dtype first, as Tensor arithmetic does.
+        output = self._state.kernel(history)
+        if self.scaler is not None:
+            output *= output.dtype.type(self.scaler.std_)
+            output += output.dtype.type(self.scaler.mean_)
         with self._counter_lock:
             self.num_requests += history.shape[0]
-        return output.data
+        return output
 
     def predict_one(self, window: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Forecast a single history window ``(h, N, C)`` → ``(f, N, ·)``."""

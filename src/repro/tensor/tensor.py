@@ -419,15 +419,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        data = np.where(mask, self.data, negative_slope * self.data)
-
-        def backward(grad):
-            return (np.where(mask, grad, negative_slope * grad),)
-
-        return Tensor._make(data, (self,), backward)
-
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
         sign = np.sign(self.data)
@@ -518,9 +509,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def flatten(self) -> "Tensor":
-        return self.reshape(-1)
-
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
@@ -590,14 +578,6 @@ class Tensor:
             return (full,)
 
         return Tensor._make(data, (self,), backward)
-
-    def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows along the first axis: equivalent to ``self[indices]``.
-
-        ``indices`` may contain repeated entries; gradients accumulate.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        return self[indices]
 
     def pad(self, pad_width: Sequence[tuple[int, int]]) -> "Tensor":
         """Zero-pad, ``pad_width`` following ``np.pad`` conventions."""

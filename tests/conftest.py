@@ -18,6 +18,35 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(0)
 
 
+def _autograd_forecast(service, history) -> np.ndarray:
+    """What ``service.predict(history)`` computes, through the autograd forecaster.
+
+    Runs ``service.model.forecaster`` under ``no_grad`` over the service's
+    frozen graph and un-scales with the service's scaler — the reference the
+    serving kernel's parity bounds are measured against.
+    """
+    from repro.tensor import Tensor, no_grad
+
+    frozen = service.frozen
+    dtype = frozen.adjacency.dtype
+    with no_grad():
+        output = service.model.forecaster(
+            Tensor(history, dtype=dtype),
+            Tensor(frozen.adjacency, dtype=dtype),
+            frozen.index_set,
+            degree_scale=Tensor(frozen.degree_scale, dtype=dtype),
+        )
+        if service.scaler is not None:
+            output = output * service.scaler.std_ + service.scaler.mean_
+    return output.data
+
+
+@pytest.fixture
+def autograd_forecast():
+    """The autograd reference of ``service.predict``; see :func:`_autograd_forecast`."""
+    return _autograd_forecast
+
+
 @pytest.fixture(scope="session")
 def tiny_network():
     """A 12-node road network shared across tests."""
@@ -96,8 +125,8 @@ class ScenarioResult:
     batch_x: np.ndarray  # first test batch, model-input layout
     batch_y: np.ndarray
     kernel_pred: np.ndarray  # service prediction through the serving kernel
-    module_pred: np.ndarray  # service prediction with use_kernel=False
-    chunked_pred: np.ndarray  # use_kernel=False with node-chunked aggregation
+    module_pred: np.ndarray  # the autograd forecaster over the same frozen graph
+    chunked_pred: np.ndarray  # module_pred with node-chunked gconv aggregation
     serve_metrics: dict  # streaming metrics of the kernel service on test
 
 
@@ -121,7 +150,7 @@ def make_scenario_series(spec: ScenarioSpec, num_steps: int = 160, num_nodes: in
 
 def run_scenario_cell(spec: ScenarioSpec, bundle_dir) -> ScenarioResult:
     """Shared end-to-end runner: train → bundle round-trip → serve → metrics."""
-    from repro.core import SAGDFN, Trainer
+    from repro.core import SAGDFN, FastGraphConv, Trainer
     from repro.experiments.common import small_sagdfn_config
     from repro.optim import Adam
     from repro.serve.service import ForecastService
@@ -157,10 +186,10 @@ def run_scenario_cell(spec: ScenarioSpec, bundle_dir) -> ScenarioResult:
 
     batch_x, batch_y = next(iter(data.test_loader))
     kernel_service = ForecastService.from_checkpoint(bundle_path)
-    module_service = ForecastService.from_checkpoint(bundle_path, use_kernel=False)
-    chunked_service = ForecastService.from_checkpoint(
-        bundle_path, use_kernel=False, chunk_size=3
-    )
+    chunked_service = ForecastService.from_checkpoint(bundle_path, chunk_size=3)
+    for module in chunked_service.model.forecaster.modules():
+        if isinstance(module, FastGraphConv):
+            module.node_chunk_size = 3
     return ScenarioResult(
         spec=spec,
         data=data,
@@ -173,8 +202,8 @@ def run_scenario_cell(spec: ScenarioSpec, bundle_dir) -> ScenarioResult:
         batch_x=batch_x,
         batch_y=batch_y,
         kernel_pred=kernel_service.predict(batch_x),
-        module_pred=module_service.predict(batch_x),
-        chunked_pred=chunked_service.predict(batch_x),
+        module_pred=_autograd_forecast(kernel_service, batch_x),
+        chunked_pred=_autograd_forecast(chunked_service, batch_x),
         serve_metrics=kernel_service.evaluate(data.test_loader),
     )
 

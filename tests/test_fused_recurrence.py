@@ -4,7 +4,7 @@ Two implementations of the encoder–decoder recurrence exist:
 
 * ``SAGDFNEncoderDecoder.forward`` — the autograd path, one
   :class:`~repro.core.gconv.OneStepFastGConvCell` step per layer and time
-  step (training and ``use_kernel=False`` serving);
+  step (training, and the reference the kernel is checked against);
 * :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` — the raw
   ndarray no-grad serving kernel behind ``ForecastService``.
 
@@ -20,6 +20,7 @@ import pytest
 from repro.core import SAGDFN, SAGDFNConfig, OneStepFastGConvCell
 from repro.core.encoder_decoder import SAGDFNEncoderDecoder
 from repro.core.serving_kernel import FrozenRecurrenceKernel
+from repro.data.scalers import StandardScaler
 from repro.serve import ForecastService
 from repro.tensor import Tensor, check_gradients, concat, default_dtype, no_grad
 
@@ -244,27 +245,41 @@ class TestRecurrenceOracle:
 
 class TestServingKernel:
     @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_kernel_matches_module_forward(self, rng, num_layers):
+    def test_kernel_matches_module_forward(self, rng, num_layers, autograd_forecast):
         model = _model(num_layers=num_layers)
         service = ForecastService(model)
-        assert service._kernel is not None
         x = rng.normal(size=(3, 4, 22, 2))
         kernel_out = service.predict(x)
-        with no_grad():
-            module = model.forecaster(
-                Tensor(x), service._adjacency_tensor, service.frozen.index_set,
-                degree_scale=service._degree_scale_tensor,
-            ).data
-        assert _max_rel(kernel_out, module) <= F64_REL
+        assert _max_rel(kernel_out, autograd_forecast(service, x)) <= F64_REL
 
-    def test_kernel_matches_module_forward_float32(self, rng):
+    def test_kernel_matches_module_forward_float32(self, rng, autograd_forecast):
         with default_dtype("float32"):
-            model = _model()
-            fallback = ForecastService(_copy_of(model), use_kernel=False)
-            service = ForecastService(model)
+            service = ForecastService(_model())
             x = rng.normal(size=(2, 4, 22, 2)).astype(np.float32)
             assert service.predict(x).dtype == np.float32
-            assert _max_rel(service.predict(x), fallback.predict(x)) <= F32_REL
+            assert _max_rel(service.predict(x), autograd_forecast(service, x)) <= F32_REL
+
+    def test_dense_support_model_is_served_through_the_kernel(self, rng,
+                                                            autograd_forecast):
+        service = ForecastService(_model(dense=True))
+        assert service.frozen.index_set is None
+        assert service.frozen.adjacency.shape == (22, 22)
+        x = rng.normal(size=(2, 4, 22, 2))
+        assert _max_rel(service.predict(x), autograd_forecast(service, x)) <= F64_REL
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_unscaling_keeps_the_model_dtype(self, rng, dtype):
+        """Predictions are un-scaled in the kernel's dtype, bit for bit what
+        Tensor arithmetic on the kernel output gives."""
+        scaler = StandardScaler().fit(np.abs(rng.normal(5.0, 2.0, size=(64, 22))))
+        with default_dtype(dtype):
+            service = ForecastService(_model(), scaler=scaler)
+            x = rng.normal(size=(3, 4, 22, 2)).astype(dtype)
+            raw = service._state.kernel(x)
+            expected = (Tensor(raw) * scaler.std_ + scaler.mean_).data
+            served = service.predict(x)
+        assert served.dtype == expected.dtype == np.dtype(dtype)
+        assert np.array_equal(served, expected)
 
     @pytest.mark.parametrize("batch", [2, 8])
     def test_kernel_workspace_reuse_is_deterministic(self, rng, batch):
@@ -318,51 +333,27 @@ class TestServingKernel:
             ).data
         assert _max_rel(kernel(x), module) <= F64_REL
 
-    def test_kernel_empty_batch_matches_module_forward(self, rng):
+    def test_kernel_empty_batch_matches_module_forward(self, rng, autograd_forecast):
         """An empty batch is the module path's empty forecast, shape and dtype;
         a history without time steps is refused with its shape named."""
-        model = _model()
-        service = ForecastService(model)
+        service = ForecastService(_model())
+        kernel = service._state.kernel
         x = rng.normal(size=(0, 4, 22, 2))
-        with no_grad():
-            expected = model.forecaster(
-                Tensor(x), service._adjacency_tensor, service.frozen.index_set,
-                degree_scale=service._degree_scale_tensor,
-            ).data
-        empty = service._kernel(x)
+        expected = autograd_forecast(service, x)
+        empty = kernel(x)
         assert empty.shape == expected.shape == (0, 3, 22, 1)
         assert empty.dtype == expected.dtype
         with pytest.raises(ValueError, match=r"\(1, 0, 22, 2\)"):
-            service._kernel(rng.normal(size=(1, 0, 22, 2)))
+            kernel(rng.normal(size=(1, 0, 22, 2)))
 
     def test_kernel_validates_shapes(self, rng):
-        service = ForecastService(_model())
+        kernel = ForecastService(_model())._state.kernel
         with pytest.raises(ValueError):
-            service._kernel(rng.normal(size=(4, 22, 2)))
+            kernel(rng.normal(size=(4, 22, 2)))
         with pytest.raises(ValueError):
-            service._kernel(rng.normal(size=(1, 4, 21, 2)))
+            kernel(rng.normal(size=(1, 4, 21, 2)))
         with pytest.raises(ValueError):
-            service._kernel(rng.normal(size=(1, 4, 22, 3)))
-
-    def test_use_kernel_false_serves_module_forward(self, rng):
-        model = _model()
-        service = ForecastService(model, use_kernel=False)
-        assert service._kernel is None
-        x = rng.normal(size=(2, 4, 22, 2))
-        with no_grad():
-            expected = model.forecaster(
-                Tensor(x), service._adjacency_tensor, service.frozen.index_set,
-                degree_scale=service._degree_scale_tensor,
-            ).data
-        assert np.array_equal(service.predict(x), expected)
-
-
-def _copy_of(model):
-    clone = SAGDFN(model.config)
-    clone.sampler.candidates = model.sampler.candidates.copy()
-    clone._index_set = model.index_set.copy()
-    clone.load_state_dict(model.state_dict())
-    return clone
+            kernel(rng.normal(size=(1, 4, 22, 3)))
 
 
 class TestGateInitialisation:
@@ -423,9 +414,10 @@ class TestKernelConcurrency:
         service = ForecastService(_model())
         for batch in range(1, _MAX_WORKSPACES + 4):
             service.predict(rng.normal(size=(batch, 4, 22, 2)))
-        assert len(service._kernel._workspaces) == _MAX_WORKSPACES
+        workspaces = service._state.kernel._workspaces
+        assert len(workspaces) == _MAX_WORKSPACES
         # the most recent batch sizes survive and still serve correctly
         batch = _MAX_WORKSPACES + 3
-        assert batch in service._kernel._workspaces
+        assert batch in workspaces
         out = service.predict(rng.normal(size=(1, 4, 22, 2)))  # evicted size: rebuilt
         assert out.shape == (1, 3, 22, 1)

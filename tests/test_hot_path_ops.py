@@ -368,32 +368,16 @@ class TestFromCheckpointKnobs:
 class TestServedForecastParity:
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
-    def test_kernel_matches_module_forward(self, rng, diffusion_steps, batch):
+    def test_kernel_matches_module_forward(self, rng, diffusion_steps, batch,
+                                           autograd_forecast):
         model = _tiny_model(diffusion_steps=diffusion_steps)
         service = ForecastService(model)
-        assert service._kernel is not None
         x = rng.normal(size=(batch, 3, 10, 2))
-        served = service.predict(x)
-        with no_grad():
-            module = model.forecaster(
-                Tensor(x), service._adjacency_tensor, service.frozen.index_set,
-                degree_scale=service._degree_scale_tensor,
-            ).data
-        assert _max_rel(served, module) <= F64_REL
+        assert _max_rel(service.predict(x), autograd_forecast(service, x)) <= F64_REL
 
-    @pytest.mark.parametrize("use_kernel", [True, False], ids=["kernel", "module"])
-    def test_use_kernel_picks_the_serving_path(self, tmp_path, rng, use_kernel):
+    def test_checkpoint_service_matches_module_forward(self, tmp_path, rng,
+                                                        autograd_forecast):
         path = save_bundle(_tiny_model(seed=3), tmp_path / "bundle")
-        service = ForecastService.from_checkpoint(path, use_kernel=use_kernel)
-        assert (service._kernel is not None) is use_kernel
+        service = ForecastService.from_checkpoint(path)
         x = rng.normal(size=(2, 3, 10, 2))
-        with no_grad():
-            module = service.model.forecaster(
-                Tensor(x), service._adjacency_tensor, service.frozen.index_set,
-                degree_scale=service._degree_scale_tensor,
-            ).data
-        served = service.predict(x)
-        if use_kernel:
-            assert _max_rel(served, module) <= F64_REL
-        else:
-            assert np.array_equal(served, module)
+        assert _max_rel(service.predict(x), autograd_forecast(service, x)) <= F64_REL

@@ -202,17 +202,26 @@ class TestServiceMemoryKnobs:
         assert model.sampler.chunk_size == 5
         assert model.attention.chunk_size == 5
         assert model.attention.memory_budget_mb == 16.0
-        # the per-request encoder-decoder hot path is blocked too
-        for cell in model.forecaster.encoder_cells + model.forecaster.decoder_cells:
-            assert cell.gates.node_chunk_size == 5
-            assert cell.candidate.node_chunk_size == 5
         # the frozen graph is unchanged by the knob (bit-identity) …
         assert np.array_equal(reference.frozen.adjacency, overridden.frozen.adjacency)
-        # … and the blocked per-request forward matches the unchunked one to
-        # ~1 ulp (the documented gconv-chunking tolerance)
+        # … and so is the served forecast
         window = rng.normal(size=(2, 3, 20, 2))
         np.testing.assert_allclose(reference.predict(window),
                                    overridden.predict(window), atol=1e-12)
+
+    def test_override_leaves_the_forecaster_gconvs_alone(self):
+        """The knobs only block SNS and attention at freeze time; requests
+        run through the serving kernel, which needs no block size."""
+        config = SAGDFNConfig(num_nodes=20, history=3, horizon=3, num_significant=6,
+                              top_k=4, hidden_size=8, num_heads=2, ffn_hidden=6, seed=0)
+        model = SAGDFN(config)
+        model.refresh_graph(10**6)
+        cells = model.forecaster.encoder_cells + model.forecaster.decoder_cells
+        before = [(cell.gates.node_chunk_size, cell.candidate.node_chunk_size)
+                  for cell in cells]
+        ForecastService(model, chunk_size=5, memory_budget_mb=16.0)
+        assert [(cell.gates.node_chunk_size, cell.candidate.node_chunk_size)
+                for cell in cells] == before
 
     def test_budget_only_override_clears_trained_chunk_size(self):
         """chunk_size wins inside the modules, so a budget-only override must

@@ -137,6 +137,13 @@ class TestPerfRunner:
                 }
             )
 
+    def test_schema_validator_rejects_other_versions(self, run_perf, tiny_report):
+        report, _ = tiny_report
+        stale = dict(report, schema_version=run_perf.SCHEMA_VERSION - 1)
+        with pytest.raises(ValueError, match=rf"{run_perf.SCHEMA_VERSION - 1}.*"
+                                             rf"{run_perf.SCHEMA_VERSION}"):
+            run_perf.validate_schema(stale)
+
     def test_scaling_validator_rejects_divergence(self, run_perf):
         entry = {
             "num_nodes": 10, "num_significant": 4, "dtype": "float32",

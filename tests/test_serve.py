@@ -1,7 +1,9 @@
 """Tests for the frozen-graph inference service and the micro-batching queue."""
 
+import inspect
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -73,20 +75,22 @@ class TestForecastService:
         for key in ("mae", "rmse", "mape"):
             assert served[key] == pytest.approx(reference[key], rel=1e-9)
 
-    def test_unfrozen_service_falls_back_to_full_forward(self, trained):
-        model, _, data, _ = trained
-        service = ForecastService(model, scaler=data.scaler, freeze_graph=False)
-        assert service.frozen is None
-        batch_x, _ = next(iter(data.test_loader))
-        reference = _trainer_forward(model, data.scaler, batch_x)
-        assert np.allclose(service.predict(batch_x), reference)
-
-    def test_generic_module_is_served_without_frozen_graph(self, rng):
+    def test_non_sagdfn_model_is_refused(self):
         model = build_baseline("GRU", 5, 2, 4, 3, hidden_size=8)
-        service = ForecastService(model)
-        assert service.frozen is None
-        batch = rng.normal(size=(2, 4, 5, 2))
-        assert service.predict(batch).shape == (2, 3, 5, 1)
+        with pytest.raises(TypeError, match="GRU"):
+            ForecastService(model)
+
+    def test_settable_values_are_scaler_and_memory_knobs(self):
+        init = inspect.signature(ForecastService.__init__).parameters
+        assert list(init) == ["self", "model", "scaler", "chunk_size", "memory_budget_mb"]
+        load = inspect.signature(ForecastService.from_checkpoint).parameters
+        assert list(load) == ["path", "chunk_size", "memory_budget_mb", "verify_digest"]
+
+    def test_config_is_the_models_config(self, trained):
+        model, _, data, bundle_path = trained
+        expected = asdict(model.config)
+        assert ForecastService(model, scaler=data.scaler).config == expected
+        assert ForecastService.from_checkpoint(bundle_path).config == expected
 
     def test_predict_one_and_validation(self, trained):
         model, _, data, _ = trained
@@ -99,12 +103,11 @@ class TestForecastService:
         with pytest.raises(ValueError):
             service.predict_one(batch_x)  # extra batch dimension
 
-    @pytest.mark.parametrize("use_kernel", [True, False], ids=["kernel", "module"])
-    def test_empty_requests(self, trained, use_kernel):
-        """An empty batch is served as an empty forecast on both paths; a
-        history without time steps is refused with its shape named."""
+    def test_empty_requests(self, trained):
+        """An empty batch is served as an empty forecast; a history without
+        time steps is refused with its shape named."""
         _, _, data, bundle_path = trained
-        service = ForecastService.from_checkpoint(bundle_path, use_kernel=use_kernel)
+        service = ForecastService.from_checkpoint(bundle_path)
         batch_x, _ = next(iter(data.test_loader))
         _, steps, nodes, channels = batch_x.shape
         empty = service.predict(batch_x[:0])
@@ -430,7 +433,7 @@ class TestServeCLI:
                            "--output", str(output)])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "frozen-graph mode" in printed
+        assert f"loaded {bundle_path} in " in printed
         assert "served 6 requests" in printed
         predictions = np.load(output)
         assert predictions.shape[0] == 6
@@ -459,6 +462,15 @@ class TestServeCLI:
                            "--requests", "0", "--output", str(output)])
         assert code == 0
         assert np.load(output).shape[0] == batch_x.shape[0]
+
+    @pytest.mark.parametrize("mode", [[], ["--workers", "2"]], ids=["single", "cluster"])
+    def test_no_freeze_is_refused(self, trained, mode, capsys):
+        # every mode serves the frozen graph: the flag is gone, not ignored
+        _, _, _, bundle_path = trained
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main([str(bundle_path), *mode, "--no-freeze"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-freeze" in capsys.readouterr().err
 
     def test_synthetic_zero_requests_is_still_rejected(self, trained):
         _, _, _, bundle_path = trained

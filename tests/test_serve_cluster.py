@@ -390,5 +390,3 @@ class TestClusterCLI:
         path, _ = bundle
         with pytest.raises(SystemExit, match="--workers"):
             serve_main([str(path), "--workers", "0"])
-        with pytest.raises(SystemExit, match="--no-freeze"):
-            serve_main([str(path), "--workers", "2", "--no-freeze"])
