@@ -5,10 +5,11 @@ times it, the JSON keys it must carry and the ``--assert-*`` gates that read
 it.  ``--section NAME [NAME ...]`` picks sections (default: all).  All are
 float32 except ``results``; the serving sections run at ``max(--sizes)``.
 
-* ``results`` — attention forward + one FastGraphConv forward per N, f32 and f64; no gate.
+* ``results`` — attention forward + one cell-step op forward per N, f32 and f64; no gate.
 * ``scaling`` — chunked SNS + attention peak memory per N; ``--assert-scaling-peak-mb``.
-* ``recurrence`` — autograd forward vs serving kernel per N; ``--assert-recurrence-speedup``,
-  and the kernel's batch-1/8/32 curve at the largest N; ``--assert-serve-batch-growth``.
+* ``recurrence`` — autograd forward, forward + backward and serving kernel per N;
+  ``--assert-train-over-kernel``, and the kernel's batch-1/8/32 curve at the largest N;
+  ``--assert-serve-batch-growth``.
 * ``cluster`` — ServingCluster burst per worker count; ``--assert-cluster-efficiency``.
 * ``online`` — session replay and drift hot-swap; ``--assert-swap-parity``.
 * ``faults`` — 2-worker burst with each worker killed once; ``--assert-fault-recovery``.
@@ -42,8 +43,8 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
 
 import numpy as np
 
-from repro.core import (SAGDFN, FastGraphConv, SAGDFNConfig, SignificantNeighborsSampling,
-                        SparseSpatialMultiHeadAttention)
+from repro.core import (SAGDFN, OneStepFastGConvCell, SAGDFNConfig,
+                        SignificantNeighborsSampling, SparseSpatialMultiHeadAttention)
 from repro.nn.module import Parameter
 from repro.serve import ForecastService
 from repro.tensor import Tensor, default_dtype, no_grad
@@ -178,7 +179,12 @@ def _burst(cluster, windows) -> tuple[dict, list[float]]:
 
 
 def bench_results(args) -> list:
-    """Best-of-``--repeats`` attention and FastGraphConv forwards per N and dtype."""
+    """Best-of-``--repeats`` attention and cell-step forwards per N and dtype.
+
+    ``gconv_ms`` times one ``OneStepFastGConvCell`` step (the cell-step op
+    that carries both graph convolutions of Eq. 10) at batch 1, with its
+    parameters on the tape.
+    """
     entries = []
     for num_nodes in args.sizes:
         m = min(args.m, num_nodes)
@@ -195,12 +201,13 @@ def bench_results(args) -> list:
                 attention_ms = _time(lambda: attention(embeddings, index_set), args.repeats)
 
                 rng = np.random.default_rng(0)
-                conv = FastGraphConv(input_dim=args.hidden, output_dim=args.hidden,
-                                     diffusion_steps=2, seed=0)
-                x = Tensor(rng.normal(size=(1, num_nodes, args.hidden)))
+                cell = OneStepFastGConvCell(input_dim=2, hidden_dim=args.hidden,
+                                            diffusion_steps=2, seed=0)
+                x = Tensor(rng.normal(size=(1, num_nodes, 2)))
+                hidden = Tensor(rng.normal(size=(1, num_nodes, args.hidden)))
                 slim = Tensor(np.abs(rng.random((num_nodes, m))))
                 index_set = rng.choice(num_nodes, size=m, replace=False)
-                gconv_ms = _time(lambda: conv(x, slim, index_set), args.repeats)
+                gconv_ms = _time(lambda: cell(x, hidden, slim, index_set), args.repeats)
             entries.append({"num_nodes": int(num_nodes), "num_significant": int(m),
                             "dtype": dtype, "attention_vectorized_ms": attention_ms,
                             "gconv_ms": gconv_ms})
@@ -276,7 +283,11 @@ def bench_recurrence(args) -> dict:
     """Frozen-graph encoder–decoder recurrence per N, best of ``--repeats``.
 
     ``forward_ms`` is the no-grad autograd forward, ``kernel_ms`` the serving
-    kernel behind ``service.predict`` and ``train_ms`` forward + backward.
+    kernel behind ``service.predict`` and ``train_ms`` forward + backward,
+    all at batch 1.  The forward and the kernel run the same cell-step
+    function, so ``kernel_speedup`` (forward / kernel) sits near 1; the
+    gate reads ``train_ms / kernel_ms``, the price of the tape and the
+    hand-written backward over a plain forward.
     At the largest N, ``serve_throughput`` is the p50 of ``max(5, repeats)``
     ``predict`` calls at batch 1 / 8 / 32.
     """
@@ -320,7 +331,8 @@ def bench_recurrence(args) -> dict:
             entries.append(entry)
             print(f"recurrence N={num_nodes:>6}: forward {forward_ms:.1f} ms, kernel "
                   f"{kernel_ms:.1f} ms ({entry['kernel_speedup']:.2f}x), fwd+bwd "
-                  f"{train_ms:.0f} ms, rel diff {entry['max_rel_diff_kernel']:.2e}", flush=True)
+                  f"{train_ms:.0f} ms ({train_ms / kernel_ms:.2f}x kernel), rel diff "
+                  f"{entry['max_rel_diff_kernel']:.2e}", flush=True)
             if num_nodes != max(args.sizes):
                 continue
             for batch_size in SERVE_BATCH_SIZES:
@@ -555,9 +567,10 @@ def gate_scaling_peak(section: dict, bound: float) -> list[str]:
             f"{bound} MiB" for e in section["results"] if e["peak_mem_mb"] > bound]
 
 
-def gate_recurrence_speedup(section: dict, bound: float) -> list[str]:
-    return [f"serving-kernel speedup {e['kernel_speedup']:.2f}x at N={e['num_nodes']} "
-            f"is below {bound}x" for e in section["results"] if e["kernel_speedup"] < bound]
+def gate_train_over_kernel(section: dict, bound: float) -> list[str]:
+    return [f"forward + backward is {e['train_ms'] / e['kernel_ms']:.2f}x the serving "
+            f"kernel at N={e['num_nodes']}, above {bound}x" for e in section["results"]
+            if e["train_ms"] / e["kernel_ms"] > bound]
 
 
 def gate_batch_growth(section: dict, bound: float) -> list[str]:
@@ -664,8 +677,9 @@ SECTIONS: dict[str, Section] = {
                  "train_ms kernel_speedup per_step_kernel_ms max_rel_diff_kernel")
         + _paths("recurrence.serve_throughput[]", "batch_size latency_p50_ms "
                  "throughput_rps"),
-        (Gate("--assert-recurrence-speedup", gate_recurrence_speedup,
-              "fail if the kernel's speedup over the autograd forward is below this"),
+        (Gate("--assert-train-over-kernel", gate_train_over_kernel,
+              "fail if any entry's forward + backward (train_ms) exceeds this multiple "
+              "of the serving kernel (kernel_ms)"),
          Gate("--assert-serve-batch-growth", gate_batch_growth,
               "fail if batch-8 serve throughput is below this multiple of batch 1")),
     ),

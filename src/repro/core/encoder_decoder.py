@@ -36,9 +36,6 @@ class SAGDFNEncoderDecoder(Module):
     teacher_forcing:
         Probability of feeding the ground truth instead of the prediction to
         the decoder during training (scheduled-sampling style curriculum).
-    node_chunk_size:
-        Node-block size forwarded to every cell's graph convolutions
-        (``None`` keeps the unchunked aggregation).
     exog_dim:
         Declared exogenous covariate channels appended after the
         ``input_dim`` endogenous ones.  They widen the first encoder layer
@@ -65,7 +62,6 @@ class SAGDFNEncoderDecoder(Module):
         num_layers: int = 1,
         teacher_forcing: float = 0.0,
         seed: int | None = 0,
-        node_chunk_size: int | None = None,
         exog_dim: int = 0,
         mask_input: bool = False,
         quantiles: tuple[float, ...] | None = None,
@@ -95,7 +91,6 @@ class SAGDFNEncoderDecoder(Module):
                 output_dim,
                 diffusion_steps,
                 seed=base + layer,
-                node_chunk_size=node_chunk_size,
             )
             for layer in range(num_layers)
         ]
@@ -106,7 +101,6 @@ class SAGDFNEncoderDecoder(Module):
                 self.prediction_dim,
                 diffusion_steps,
                 seed=base + 100 + layer,
-                node_chunk_size=node_chunk_size,
             )
             for layer in range(num_layers)
         ]

@@ -76,7 +76,6 @@ class SAGDFN(Module):
             exog_dim=config.exog_dim,
             mask_input=config.mask_input,
             quantiles=config.quantiles,
-            node_chunk_size=config.chunk_size,
         )
 
         # "w/o SNS & SSMA" ablation: a fixed, distance-derived dense support.

@@ -107,8 +107,10 @@ class Trainer:
             return predictions
         return predictions * self.scaler.std_ + self.scaler.mean_
 
-    def _forward(self, batch_x: np.ndarray) -> Tensor:
-        return self.model(Tensor(batch_x))
+    def _batch_dtype(self):
+        """The model's parameter dtype (``None``: no parameters), which batches are cast to."""
+        parameters = self.model.parameters()
+        return parameters[0].dtype if parameters else None
 
     # ------------------------------------------------------------------ #
     # Training / evaluation
@@ -116,18 +118,20 @@ class Trainer:
     def train_epoch(self, loader: DataLoader) -> float:
         """Run one epoch; returns the average training loss (masked MAE)."""
         self.model.train()
+        dtype = self._batch_dtype()
         losses = []
         for batch_x, batch_y in loader:
             if hasattr(self.model, "refresh_graph"):
                 self.model.refresh_graph(self._iteration)
             self.model.zero_grad()
-            predictions = self._denormalise(self._forward(batch_x))
+            predictions = self._denormalise(self.model(Tensor(batch_x, dtype=dtype)))
+            targets = Tensor(batch_y, dtype=dtype)
             if self.quantiles is not None:
                 loss = masked_pinball(
-                    predictions, Tensor(batch_y), self.quantiles, null_value=self.null_value
+                    predictions, targets, self.quantiles, null_value=self.null_value
                 )
             else:
-                loss = masked_mae(predictions, Tensor(batch_y), null_value=self.null_value)
+                loss = masked_mae(predictions, targets, null_value=self.null_value)
             loss.backward()
             clip_grad_norm(self.model.parameters(), self.max_grad_norm)
             self.optimizer.step()
@@ -152,10 +156,11 @@ class Trainer:
         was_training = self.model.training
         self.model.eval()
         stream = StreamingMetrics(null_value=self.null_value, quantiles=self.quantiles)
+        dtype = self._batch_dtype()
         try:
             with no_grad():
                 for batch_x, batch_y in loader:
-                    output = self._denormalise(self._forward(batch_x))
+                    output = self._denormalise(self.model(Tensor(batch_x, dtype=dtype)))
                     stream.update(output.data, batch_y)
         finally:
             self.model.train(was_training)

@@ -417,9 +417,8 @@ def main(argv=None) -> int:
         return _serve_cluster(args)
 
     load_start = time.perf_counter()
-    _load_bundle_or_exit(args.checkpoint)  # one-line exit on missing/corrupt paths
-    service = ForecastService.from_checkpoint(
-        args.checkpoint,
+    service = ForecastService.from_bundle(
+        _load_bundle_or_exit(args.checkpoint),  # one-line exit on missing/corrupt paths
         chunk_size=args.chunk_size,
         memory_budget_mb=args.memory_budget_mb,
     )

@@ -122,8 +122,9 @@ class ForecastService:
         model.eval()
 
         self._pinned_batches: set[int] = set()
-        if model.index_set is None:
-            # No converged index set came with the model/bundle.  Sample one
+        if model.index_set is None and not model.config.use_predefined_graph:
+            # No converged index set came with the model/bundle (a
+            # predefined-graph model has none by design).  Sample one
             # as if training had converged (explore=False) so the frozen
             # graph is at least deterministic, and say so loudly.
             from repro.utils.logging import get_logger
@@ -270,13 +271,15 @@ class ForecastService:
         (see :func:`repro.utils.load_bundle`) — the serving cluster uses it
         for workers whose parent already verified the same file.
         """
-        bundle = load_bundle(path, verify_digest=verify_digest)
-        return cls(
-            cls._build_model(bundle),
-            scaler=rehydrate_scaler(bundle),
-            chunk_size=chunk_size,
-            memory_budget_mb=memory_budget_mb,
-        )
+        return cls.from_bundle(load_bundle(path, verify_digest=verify_digest),
+                               chunk_size, memory_budget_mb)
+
+    @classmethod
+    def from_bundle(cls, bundle, chunk_size: int | None = None,
+                    memory_budget_mb: float | None = None) -> "ForecastService":
+        """Build a service from a bundle already returned by ``load_bundle``."""
+        return cls(cls._build_model(bundle), scaler=rehydrate_scaler(bundle),
+                   chunk_size=chunk_size, memory_budget_mb=memory_budget_mb)
 
     # The rehydration lives in repro.utils.checkpoint so cluster workers can
     # rebuild a forecaster without importing the service first.

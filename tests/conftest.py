@@ -126,7 +126,7 @@ class ScenarioResult:
     batch_y: np.ndarray
     kernel_pred: np.ndarray  # service prediction through the serving kernel
     module_pred: np.ndarray  # the autograd forecaster over the same frozen graph
-    chunked_pred: np.ndarray  # module_pred with node-chunked gconv aggregation
+    chunked_pred: np.ndarray  # module_pred over a graph frozen with chunk_size=3
     serve_metrics: dict  # streaming metrics of the kernel service on test
 
 
@@ -150,7 +150,7 @@ def make_scenario_series(spec: ScenarioSpec, num_steps: int = 160, num_nodes: in
 
 def run_scenario_cell(spec: ScenarioSpec, bundle_dir) -> ScenarioResult:
     """Shared end-to-end runner: train → bundle round-trip → serve → metrics."""
-    from repro.core import SAGDFN, FastGraphConv, Trainer
+    from repro.core import SAGDFN, Trainer
     from repro.experiments.common import small_sagdfn_config
     from repro.optim import Adam
     from repro.serve.service import ForecastService
@@ -187,9 +187,6 @@ def run_scenario_cell(spec: ScenarioSpec, bundle_dir) -> ScenarioResult:
     batch_x, batch_y = next(iter(data.test_loader))
     kernel_service = ForecastService.from_checkpoint(bundle_path)
     chunked_service = ForecastService.from_checkpoint(bundle_path, chunk_size=3)
-    for module in chunked_service.model.forecaster.modules():
-        if isinstance(module, FastGraphConv):
-            module.node_chunk_size = 3
     return ScenarioResult(
         spec=spec,
         data=data,

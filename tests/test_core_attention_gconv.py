@@ -76,81 +76,117 @@ class TestSparseSpatialAttention:
         assert all("node" not in name for name in names)
 
 
+def _cell(input_dim, hidden_dim, diffusion_steps, seed=0):
+    """A cell whose gate and candidate convolutions carry random biases."""
+    cell = OneStepFastGConvCell(input_dim=input_dim, hidden_dim=hidden_dim,
+                                diffusion_steps=diffusion_steps, seed=seed)
+    rng = np.random.default_rng(seed)
+    for conv in (cell.gates, cell.candidate):
+        conv.bias.data[:] = rng.normal(size=conv.bias.shape)
+    return cell
+
+
 class TestFastGraphConv:
+    """Eq. 9 through the cell that applies the convolutions' weights."""
+
     def test_slim_output_shape(self, rng, index_set):
-        conv = FastGraphConv(input_dim=5, output_dim=7, diffusion_steps=3)
+        cell = _cell(input_dim=5, hidden_dim=7, diffusion_steps=3)
+        assert [w.shape for w in cell.gates.hop_weights] == [(12, 14)] * 3
+        assert [w.shape for w in cell.candidate.hop_weights] == [(12, 7)] * 3
         x = Tensor(rng.normal(size=(2, 14, 5)))
         slim = Tensor(rng.random((14, 4)))
-        assert conv(x, slim, index_set).shape == (2, 14, 7)
+        new_hidden, prediction = cell(x, cell.initial_state(2, 14), slim, index_set)
+        assert new_hidden.shape == (2, 14, 7)
+        assert prediction.shape == (2, 14, 1)
 
     def test_dense_output_shape(self, rng):
-        conv = FastGraphConv(input_dim=5, output_dim=7, diffusion_steps=2)
+        cell = _cell(input_dim=5, hidden_dim=7, diffusion_steps=2)
         x = Tensor(rng.normal(size=(2, 9, 5)))
         dense = Tensor(rng.random((9, 9)))
-        assert conv(x, dense, index_set=None).shape == (2, 9, 7)
+        new_hidden, _ = cell(x, cell.initial_state(2, 9), dense, index_set=None)
+        assert new_hidden.shape == (2, 9, 7)
 
     def test_single_step_is_plain_linear(self, rng, index_set):
-        conv = FastGraphConv(input_dim=4, output_dim=3, diffusion_steps=1, seed=0)
-        x = Tensor(rng.normal(size=(1, 14, 4)))
+        """J = 1: every convolution is ``[x, h] W_0 + b``, a plain GRU."""
+        cell = _cell(input_dim=4, hidden_dim=3, diffusion_steps=1)
+        x = rng.normal(size=(1, 14, 4))
+        hidden = rng.normal(size=(1, 14, 3))
         slim = Tensor(rng.random((14, 4)))
-        expected = x.data @ conv.hop_weights[0].data + conv.bias.data
-        assert np.allclose(conv(x, slim, index_set).data, expected)
+        new_hidden, _ = cell(Tensor(x), Tensor(hidden), slim, index_set)
+
+        def sigmoid(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        gates = (np.concatenate([x, hidden], axis=-1) @ cell.gates.hop_weights[0].data
+                 + cell.gates.bias.data)
+        reset, update = sigmoid(gates[..., :3]), sigmoid(gates[..., 3:])
+        candidate = np.tanh(np.concatenate([x, reset * hidden], axis=-1)
+                            @ cell.candidate.hop_weights[0].data + cell.candidate.bias.data)
+        expected = update * hidden + (1.0 - update) * candidate
+        assert np.allclose(new_hidden.data, expected)
 
     def test_diffusion_states_match_eq9(self, rng):
         """s_j = (A @ gather(s_{j-1}) + s_{j-1}) * (D + I)^{-1} (Eq. 9)."""
-        conv = FastGraphConv(input_dim=2, output_dim=3, diffusion_steps=3, seed=4)
-        x = Tensor(rng.normal(size=(2, 9, 2)))
-        slim = Tensor(rng.random((9, 4)))
+        from repro.core.gconv import _Graph
+
+        x = rng.normal(size=(2, 9, 2))
+        slim = rng.random((9, 4))
         index_set = np.array([0, 3, 5, 7])
-        with no_grad():
-            states = conv.diffusion_states(x, slim, index_set)
-        scale = 1.0 / (slim.data.sum(axis=-1, keepdims=True) + 1.0)
-        expected = x.data
-        for state in states[1:]:
+        scale = 1.0 / (slim.sum(axis=-1, keepdims=True) + 1.0)
+        stack = np.empty((3 * 2, 2, 9))
+        stack[:2] = x.transpose(2, 0, 1)
+        _Graph(slim, index_set, scale.reshape(-1)).diffuse_(stack, width=2, hops=3)
+        expected = x
+        for j in (1, 2):
             gathered = expected[:, index_set, :]
-            expected = (np.einsum("nm,bmc->bnc", slim.data, gathered) + expected) * scale
-            assert np.abs(state.data - expected).max() <= 1e-10 * np.abs(expected).max()
+            expected = (np.einsum("nm,bmc->bnc", slim, gathered) + expected) * scale
+            state = stack[2 * j : 2 * j + 2].transpose(1, 2, 0)
+            assert np.abs(state - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_wrong_input_dim_raises(self, rng, index_set):
-        conv = FastGraphConv(input_dim=4, output_dim=3)
+        cell = _cell(input_dim=4, hidden_dim=3, diffusion_steps=2)
         with pytest.raises(ValueError):
-            conv(Tensor(rng.normal(size=(1, 14, 5))), Tensor(rng.random((14, 4))), index_set)
+            cell(Tensor(rng.normal(size=(1, 14, 5))), cell.initial_state(1, 14),
+                 Tensor(rng.random((14, 4))), index_set)
 
     def test_invalid_diffusion_steps(self):
         with pytest.raises(ValueError):
             FastGraphConv(3, 3, diffusion_steps=0)
 
     def test_gradients_through_slim_adjacency(self, rng, index_set):
-        conv = FastGraphConv(input_dim=3, output_dim=2, diffusion_steps=2, seed=0)
+        cell = _cell(input_dim=3, hidden_dim=2, diffusion_steps=2)
         x = Tensor(rng.normal(size=(1, 14, 3)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(1, 14, 2)))
         slim = Tensor(rng.random((14, 4)), requires_grad=True)
-        assert check_gradients(lambda signal, adjacency: conv(signal, adjacency, index_set),
-                               [x, slim], atol=1e-4)
+        assert check_gradients(
+            lambda signal, adjacency: cell(signal, hidden, adjacency, index_set)[0],
+            [x, slim], atol=1e-4,
+        )
+
+    @staticmethod
+    def _node_change(rng, node):
+        """|Δ new hidden| per node after perturbing ``node``'s input (I = {2, 5})."""
+        index_set = np.array([2, 5])
+        cell = _cell(input_dim=3, hidden_dim=3, diffusion_steps=2)
+        slim = Tensor(np.abs(rng.random((10, 2))) + 0.5)
+        hidden = Tensor(rng.normal(size=(1, 10, 3)))
+        base = rng.normal(size=(1, 10, 3))
+        perturbed = base.copy()
+        perturbed[0, node, :] += 10.0
+        outputs = [cell(Tensor(signal), hidden, slim, index_set)[0].data
+                   for signal in (perturbed, base)]
+        return np.abs(outputs[0] - outputs[1])[0].sum(axis=-1)
 
     def test_information_flows_from_significant_neighbours(self, rng):
         """Perturbing a significant neighbour's features changes other nodes' outputs."""
-        index_set = np.array([2, 5])
-        conv = FastGraphConv(input_dim=3, output_dim=3, diffusion_steps=2, seed=0)
-        slim = Tensor(np.abs(rng.random((10, 2))) + 0.5)
-        base = rng.normal(size=(1, 10, 3))
-        perturbed = base.copy()
-        perturbed[0, 2, :] += 10.0  # node 2 is a significant neighbour
-        difference = np.abs(conv(Tensor(perturbed), slim, index_set).data
-                            - conv(Tensor(base), slim, index_set).data)
-        assert difference[0, 7].sum() > 0.0  # node 7 saw the change through the graph
+        difference = self._node_change(rng, node=2)  # node 2 is a significant neighbour
+        assert difference[7] > 0.0  # node 7 saw the change through the graph
 
     def test_no_information_flow_from_insignificant_nodes(self, rng):
         """Perturbing a node outside I cannot affect other nodes (only itself)."""
-        index_set = np.array([2, 5])
-        conv = FastGraphConv(input_dim=3, output_dim=3, diffusion_steps=2, seed=0)
-        slim = Tensor(np.abs(rng.random((10, 2))) + 0.5)
-        base = rng.normal(size=(1, 10, 3))
-        perturbed = base.copy()
-        perturbed[0, 7, :] += 10.0  # node 7 is NOT significant
-        difference = np.abs(conv(Tensor(perturbed), slim, index_set).data
-                            - conv(Tensor(base), slim, index_set).data)
-        others = np.delete(np.arange(10), 7)
-        assert np.allclose(difference[0, others], 0.0)
+        difference = self._node_change(rng, node=7)  # node 7 is NOT significant
+        assert difference[7] > 0.0
+        assert np.allclose(np.delete(difference, 7), 0.0)
 
 
 class TestOneStepFastGConvCell:
@@ -193,32 +229,35 @@ class TestNumericalGradients:
     """
 
     def test_fast_graph_conv_slim_path(self, rng):
-        conv = FastGraphConv(input_dim=2, output_dim=2, diffusion_steps=3, seed=0)
+        cell = _cell(input_dim=2, hidden_dim=2, diffusion_steps=3)
         index_set = np.array([0, 2, 4])
         x = Tensor(rng.normal(size=(2, 5, 2)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(2, 5, 2)))
         adjacency = Tensor(rng.random((5, 3)) + 0.1, requires_grad=True)
         assert check_gradients(
-            lambda x_, a_, *params: conv(x_, a_, index_set),
-            [x, adjacency, *conv.parameters()],
+            lambda x_, a_, *params: cell(x_, hidden, a_, index_set)[0],
+            [x, adjacency, *cell.parameters()],
         )
 
     def test_fast_graph_conv_dense_path(self, rng):
-        conv = FastGraphConv(input_dim=2, output_dim=2, diffusion_steps=2, seed=1)
+        cell = _cell(input_dim=2, hidden_dim=2, diffusion_steps=2, seed=1)
         x = Tensor(rng.normal(size=(1, 4, 2)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(1, 4, 2)))
         adjacency = Tensor(rng.random((4, 4)) + 0.1, requires_grad=True)
         assert check_gradients(
-            lambda x_, a_, *params: conv(x_, a_),
-            [x, adjacency, *conv.parameters()],
+            lambda x_, a_, *params: cell(x_, hidden, a_)[0],
+            [x, adjacency, *cell.parameters()],
         )
 
     def test_fast_graph_conv_precomputed_degree_scale_matches_default(self, rng):
-        conv = FastGraphConv(input_dim=3, output_dim=2, diffusion_steps=2, seed=2)
+        cell = _cell(input_dim=3, hidden_dim=2, diffusion_steps=2, seed=2)
         index_set = np.array([1, 3])
         x = Tensor(rng.normal(size=(2, 6, 3)))
+        hidden = Tensor(rng.normal(size=(2, 6, 2)))
         adjacency = Tensor(rng.random((6, 2)))
         scale = Tensor(1.0 / (adjacency.data.sum(axis=-1, keepdims=True) + 1.0))
-        default = conv(x, adjacency, index_set)
-        frozen = conv(x, adjacency, index_set, degree_scale=scale)
+        default = cell(x, hidden, adjacency, index_set)[0]
+        frozen = cell(x, hidden, adjacency, index_set, degree_scale=scale)[0]
         assert np.allclose(default.data, frozen.data)
 
     def test_one_step_cell_gradients(self, rng):

@@ -12,7 +12,7 @@ from repro.core.complexity import (
     memory_cost,
 )
 from repro.optim import Adam
-from repro.tensor import Tensor
+from repro.tensor import Tensor, default_dtype
 
 
 def _tiny_config(**overrides) -> SAGDFNConfig:
@@ -202,6 +202,34 @@ class TestTrainer:
                     callback=lambda epoch, loss, val: calls.append((epoch, loss, val)))
         assert [call[0] for call in calls] == [0, 1]
         assert all(call[2] is not None for call in calls)
+
+
+    def test_float32_model_trains_in_float32_outside_the_dtype_policy(
+            self, tiny_experiment_data):
+        """Batches are cast to the model's parameter dtype, so a float32
+        model runs its forward, and receives its gradients, in float32 even
+        when the engine policy is float64."""
+        data = tiny_experiment_data
+        with default_dtype("float32"):
+            model = SAGDFN(_tiny_config(num_nodes=data.num_nodes, history=data.history,
+                                        horizon=data.horizon))
+        trainer = Trainer(model, Adam(model.parameters(), lr=0.01), scaler=data.scaler)
+        seen = []
+        forward = model.forward
+
+        def recording_forward(history, targets=None):
+            output = forward(history, targets=targets)
+            seen.append((history.dtype, output.dtype))
+            return output
+
+        model.forward = recording_forward
+        batches = list(data.train_loader)[:2]
+        assert np.isfinite(trainer.train_epoch(batches))
+        assert seen == [(np.float32, np.float32)] * 2
+        assert all(p.grad.dtype == np.float32 for p in model.parameters()
+                   if p.grad is not None)
+        trainer.evaluate(batches)
+        assert seen[2:] == [(np.float32, np.float32)] * 2
 
 
 class TestComplexityModel:

@@ -1,17 +1,20 @@
 """The SAGDFN recurrence (Eq. 9–10) against an independent NumPy oracle.
 
-Two implementations of the encoder–decoder recurrence exist:
+One cell-step function, :func:`repro.core.gconv._cell_step_`, runs the
+encoder–decoder recurrence for both of its callers:
 
-* ``SAGDFNEncoderDecoder.forward`` — the autograd path, one
-  :class:`~repro.core.gconv.OneStepFastGConvCell` step per layer and time
-  step (training, and the reference the kernel is checked against);
-* :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` — the raw
-  ndarray no-grad serving kernel behind ``ForecastService``.
+* ``SAGDFNEncoderDecoder.forward`` — each
+  :class:`~repro.core.gconv.OneStepFastGConvCell` step is one autograd node
+  with a hand-written backward (training, evaluation, and the reference the
+  kernel is checked against);
+* :class:`~repro.core.serving_kernel.FrozenRecurrenceKernel` — the same step
+  without a tape, on the preallocated workspaces behind ``ForecastService``.
 
 Both are checked against ``_oracle_cell_step`` / ``_oracle_forecast`` below,
 a plain-NumPy transcription of Eq. 9–10 that reads only the cells' hop
-weights.  The paths only reorder BLAS reductions, so in float64 they agree
-to ≤ 1e-10 relative; float32 gets a correspondingly looser envelope.
+weights, and the op's gradients against finite differences.  The paths only
+reorder BLAS reductions, so in float64 they agree to ≤ 1e-10 relative;
+float32 gets a correspondingly looser envelope.
 """
 
 import numpy as np
@@ -222,6 +225,71 @@ class TestRecurrenceOracle:
 
         assert check_gradients(step, [x, hidden, adjacency])
 
+    @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_cell_op_gradients_cover_every_weight(self, rng, dense, diffusion_steps):
+        """The hand-written backward against central differences for x,
+        hidden, the adjacency (through (D + I)^{-1} too) and every weight:
+        gate and candidate hops and biases, and the projection."""
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=3,
+                                    diffusion_steps=diffusion_steps, seed=5)
+        for bias in (cell.gates.bias, cell.candidate.bias):
+            bias.data[:] = rng.normal(size=bias.shape)  # zero-initialised
+        adjacency, index_set = _cell_graph(rng, 8, dense)
+        x = Tensor(rng.normal(size=(2, 8, 2)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(2, 8, 3)), requires_grad=True)
+        adjacency = Tensor(adjacency, requires_grad=True)
+        weights = Tensor(rng.normal(size=(2, 8, 4)))
+        parameters = list(cell.parameters())
+        assert len(parameters) == 2 * diffusion_steps + 3
+
+        def step(x, hidden, adjacency, *_):
+            new_hidden, prediction = cell(x, hidden, adjacency, index_set)
+            return concat([new_hidden, prediction], axis=-1) * weights
+
+        assert check_gradients(step, [x, hidden, adjacency, *parameters])
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_passed_degree_scale_gets_its_own_gradient(self, rng, dense):
+        """With degree_scale passed, the adjacency's gradient skips the scale,
+        and the scale receives its own."""
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=3, diffusion_steps=3, seed=6)
+        adjacency, index_set = _cell_graph(rng, 8, dense)
+        x = Tensor(rng.normal(size=(2, 8, 2)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(2, 8, 3)), requires_grad=True)
+        scale = Tensor(1.0 / (adjacency.sum(axis=-1, keepdims=True) + 1.0),
+                       requires_grad=True)
+        adjacency = Tensor(adjacency, requires_grad=True)
+
+        def step(x, hidden, adjacency, scale):
+            return cell(x, hidden, adjacency, index_set, degree_scale=scale)[0]
+
+        assert check_gradients(step, [x, hidden, adjacency, scale])
+        with_scale = adjacency.grad.copy()
+        adjacency.zero_grad()
+        cell(x, hidden, adjacency, index_set)[0].sum().backward()
+        assert _max_rel(with_scale, adjacency.grad) > 1e-3
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_forward_builds_one_node_per_cell_step(self, rng, num_layers):
+        """The graph of a forecaster forward: one node per cell step, one
+        projection per decoder step, the history slices and the stack."""
+        model = _model(num_layers=num_layers)
+        forecaster = model.forecaster
+        history = Tensor(rng.normal(size=(2, 4, 22, 2)), requires_grad=True)
+        adjacency = Tensor(model.slim_adjacency().data, requires_grad=True)
+        output = forecaster(history, adjacency, model.index_set)
+        nodes, stack = set(), [output]
+        while stack:
+            node = stack.pop()
+            if id(node) in nodes or node._backward is None:
+                continue
+            nodes.add(id(node))
+            stack.extend(node._parents)
+        steps = (4 + forecaster.horizon) * num_layers
+        slices = 4 + 1  # history[:, t] and the decoder's first input
+        assert len(nodes) == steps + forecaster.horizon + slices + 1
+
     def test_wrong_input_width_raises(self, rng):
         cell = OneStepFastGConvCell(input_dim=2, hidden_dim=5, seed=1)
         adjacency, index_set = _cell_graph(rng, 9, dense=False)
@@ -383,15 +451,15 @@ class TestMicroAllocationFixes:
         assert not state.data.flags.writeable or state.data.sum() == 0.0
 
     def test_index_conversion_is_hoisted(self, rng):
-        """A list index set is converted once per forward, not per hop."""
-        from repro.core.gconv import FastGraphConv
-
-        conv = FastGraphConv(input_dim=2, output_dim=2, diffusion_steps=4, seed=0)
+        """A list index set is converted once per step, not per hop."""
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=3, diffusion_steps=4, seed=0)
         x = Tensor(rng.normal(size=(1, 8, 2)))
+        hidden = Tensor(rng.normal(size=(1, 8, 3)))
         slim = Tensor(rng.random((8, 3)))
         as_list = [0, 3, 5]
         as_array = np.array(as_list, dtype=np.int64)
-        assert np.array_equal(conv(x, slim, as_list).data, conv(x, slim, as_array).data)
+        for got, want in zip(cell(x, hidden, slim, as_list), cell(x, hidden, slim, as_array)):
+            assert np.array_equal(got.data, want.data)
 
 
 class TestKernelConcurrency:

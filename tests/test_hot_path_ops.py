@@ -2,11 +2,11 @@
 
 Two groups of raw-ndarray ops carry the serving and attention hot paths:
 
-* the in-place serving-kernel ops of :mod:`repro.core.serving_kernel`
+* the in-place cell-step ops of :mod:`repro.core.gconv`
   (``_diffusion_aggregate_``, ``_fused_gru_gates_``, ``_fused_gru_update_``,
-  ``_stack_with_bias``) replay, on feature-major workspaces, what the autograd
-  :class:`~repro.core.gconv.FastGraphConv` / :class:`OneStepFastGConvCell`
-  expressions compute on batch-major tensors;
+  ``_stack_with_bias``), shared by training and the serving kernel, replay on
+  feature-major arrays what Eq. 9's hop and the GRU gates and blend compute
+  on batch-major ones;
 * the tiled pair scoring of :mod:`repro.core.attention`
   (``_tile_rows``, ``_batched_pair_scores``) replays the dense per-pair
   scoring FFN without materialising the ``(P, N, M, h)`` activation.
@@ -20,22 +20,20 @@ across the shapes the kernels see in practice.
 import numpy as np
 import pytest
 
-from repro.core import SAGDFN, SAGDFNConfig, OneStepFastGConvCell
+from repro.core import SAGDFN, SAGDFNConfig
 from repro.core.attention import (
     _TILE_BYTES,
     SparseSpatialMultiHeadAttention,
     _batched_pair_scores,
     _tile_rows,
 )
-from repro.core.encoder_decoder import SAGDFNEncoderDecoder
-from repro.core.gconv import FastGraphConv
-from repro.core.sampling import SignificantNeighborsSampling
-from repro.core.serving_kernel import (
+from repro.core.gconv import (
     _diffusion_aggregate_,
     _fused_gru_gates_,
     _fused_gru_update_,
     _stack_with_bias,
 )
+from repro.core.sampling import SignificantNeighborsSampling
 from repro.serve import ForecastService
 from repro.tensor import Tensor, no_grad
 from repro.utils import save_bundle
@@ -70,16 +68,12 @@ def _graph(rng, num_nodes, num_significant, slim, dtype="float64"):
 
 
 def _autograd_hop(adjacency, previous_fm, index_set, scale):
-    """One ``FastGraphConv`` diffusion hop, fed and returned feature-major."""
-    channels = previous_fm.shape[0]
-    conv = FastGraphConv(channels, channels, diffusion_steps=2, seed=0)
-    batch_major = np.ascontiguousarray(previous_fm.transpose(1, 2, 0))
+    """One Eq. 9 diffusion hop on batch-major Tensors, fed and returned feature-major."""
+    previous = Tensor(np.ascontiguousarray(previous_fm.transpose(1, 2, 0)))
+    gathered = previous if index_set is None else previous[:, index_set, :]
     with no_grad():
-        states = conv.diffusion_states(
-            Tensor(batch_major), Tensor(adjacency), index_set,
-            degree_scale=Tensor(scale),
-        )
-    return states[1].data.transpose(2, 0, 1)
+        state = (Tensor(adjacency).matmul(gathered) + previous) * Tensor(scale)
+    return state.data.transpose(2, 0, 1)
 
 
 def _kernel_hop(adjacency, previous_fm, index_set, scale):
@@ -183,7 +177,7 @@ class TestFusedGruUpdate:
         candidate = (rng.normal(size=shape) * 3.0).astype(dtype)
         h, u, c = (Tensor(a.copy(), dtype=dtype) for a in (hidden, update, candidate))
         expected = (u * h + (1.0 - u) * c.tanh()).data
-        _fused_gru_update_(hidden, update, candidate, np.empty_like(hidden))
+        _fused_gru_update_(hidden, update, candidate, np.empty_like(hidden), hidden)
         assert hidden.dtype == np.dtype(dtype)
         np.testing.assert_allclose(hidden, expected, rtol=REL[dtype], atol=1e-300)
 
@@ -194,7 +188,7 @@ class TestFusedGruUpdate:
         candidate = rng.normal(size=(5, 2, 4))
         kept, activated = hidden.copy(), np.tanh(candidate)
         _fused_gru_update_(hidden, np.full_like(hidden, gate), candidate,
-                           np.empty_like(hidden))
+                           np.empty_like(hidden), hidden)
         assert np.array_equal(hidden, kept if gate == 1.0 else activated)
 
 
@@ -316,13 +310,8 @@ class TestKnobValidation:
              "memory_budget_mb must be positive"),
             (lambda: SparseSpatialMultiHeadAttention(embedding_dim=4, chunk_size=-2),
              "chunk_size must be >= 1"),
-            (lambda: OneStepFastGConvCell(input_dim=2, hidden_dim=4, node_chunk_size=0),
-             "node_chunk_size must be >= 1"),
-            (lambda: SAGDFNEncoderDecoder(input_dim=2, hidden_dim=4, node_chunk_size=-1),
-             "node_chunk_size must be >= 1"),
         ],
-        ids=["config-chunk", "config-budget", "sampler-budget", "attention-chunk",
-             "cell-node-chunk", "encoder-decoder-node-chunk"],
+        ids=["config-chunk", "config-budget", "sampler-budget", "attention-chunk"],
     )
     def test_invalid_knob_fails_at_construction(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -351,9 +340,6 @@ class TestKnobValidation:
         for module in (model.sampler, model.attention):
             assert module.chunk_size == 4
             assert module.memory_budget_mb == 2.0
-        for cell in model.forecaster.encoder_cells + model.forecaster.decoder_cells:
-            assert cell.gates.node_chunk_size == 4
-            assert cell.candidate.node_chunk_size == 4
 
 
 class TestFromCheckpointKnobs:

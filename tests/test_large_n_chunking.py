@@ -16,7 +16,6 @@ from repro.core import (
     SignificantNeighborsSampling,
     SparseSpatialMultiHeadAttention,
 )
-from repro.core.gconv import FastGraphConv
 from repro.nn.module import Parameter
 from repro.serve import ForecastService
 from repro.tensor import Tensor, default_dtype, no_grad
@@ -121,32 +120,6 @@ class TestTiledAttention:
             SparseSpatialMultiHeadAttention(4, memory_budget_mb=-1.0)
 
 
-class TestChunkedGconv:
-    def test_blocked_aggregation_matches_full(self, rng):
-        x = Tensor(rng.normal(size=(2, 20, 5)))
-        adjacency = Tensor(np.abs(rng.random((20, 8))))
-        index_set = rng.choice(20, size=8, replace=False)
-        plain = FastGraphConv(5, 6, diffusion_steps=3, seed=1)
-        chunked = FastGraphConv(5, 6, diffusion_steps=3, seed=1, node_chunk_size=7)
-        np.testing.assert_allclose(
-            plain(x, adjacency, index_set).data,
-            chunked(x, adjacency, index_set).data,
-            atol=1e-12,
-        )
-
-    def test_blocked_dense_support(self, rng):
-        x = Tensor(rng.normal(size=(2, 15, 4)))
-        dense = Tensor(np.abs(rng.random((15, 15))))
-        plain = FastGraphConv(4, 4, diffusion_steps=2, seed=0)
-        chunked = FastGraphConv(4, 4, diffusion_steps=2, seed=0, node_chunk_size=4)
-        np.testing.assert_allclose(plain(x, dense).data, chunked(x, dense).data,
-                                   atol=1e-12)
-
-    def test_invalid_chunk(self):
-        with pytest.raises(ValueError, match="node_chunk_size must be >= 1"):
-            FastGraphConv(4, 4, node_chunk_size=0)
-
-
 class TestEndToEndChunked:
     def _models(self, **chunk_kwargs):
         base = dict(num_nodes=26, history=3, horizon=3, num_significant=7, top_k=5,
@@ -161,9 +134,6 @@ class TestEndToEndChunked:
         _, chunked = self._models(chunk_size=9)
         assert chunked.sampler.chunk_size == 9
         assert chunked.attention.chunk_size == 9
-        for cell in chunked.forecaster.encoder_cells + chunked.forecaster.decoder_cells:
-            assert cell.gates.node_chunk_size == 9
-            assert cell.candidate.node_chunk_size == 9
         _, budgeted = self._models(memory_budget_mb=2.0)
         assert budgeted.sampler.memory_budget_mb == 2.0
         assert budgeted.attention.memory_budget_mb == 2.0
@@ -208,20 +178,6 @@ class TestServiceMemoryKnobs:
         window = rng.normal(size=(2, 3, 20, 2))
         np.testing.assert_allclose(reference.predict(window),
                                    overridden.predict(window), atol=1e-12)
-
-    def test_override_leaves_the_forecaster_gconvs_alone(self):
-        """The knobs only block SNS and attention at freeze time; requests
-        run through the serving kernel, which needs no block size."""
-        config = SAGDFNConfig(num_nodes=20, history=3, horizon=3, num_significant=6,
-                              top_k=4, hidden_size=8, num_heads=2, ffn_hidden=6, seed=0)
-        model = SAGDFN(config)
-        model.refresh_graph(10**6)
-        cells = model.forecaster.encoder_cells + model.forecaster.decoder_cells
-        before = [(cell.gates.node_chunk_size, cell.candidate.node_chunk_size)
-                  for cell in cells]
-        ForecastService(model, chunk_size=5, memory_budget_mb=16.0)
-        assert [(cell.gates.node_chunk_size, cell.candidate.node_chunk_size)
-                for cell in cells] == before
 
     def test_budget_only_override_clears_trained_chunk_size(self):
         """chunk_size wins inside the modules, so a budget-only override must

@@ -29,7 +29,7 @@ SECTION_ARGS = {
     "results": [],
     "scaling": ["--scaling-sizes", "24", "--scaling-embedding-dim", "4",
                 "--assert-scaling-peak-mb", "512"],
-    "recurrence": ["--assert-recurrence-speedup", "0.01",
+    "recurrence": ["--assert-train-over-kernel", "1000",
                    "--assert-serve-batch-growth", "0.01"],
     "cluster": ["--cluster-workers", "1", "2", "--cluster-requests", "8",
                 "--assert-cluster-efficiency", "0.01"],
@@ -219,9 +219,12 @@ GATE_CASES = {
         [{"results": [{"num_nodes": 24, "peak_mem_mb": 1.0},
                       {"num_nodes": 48, "peak_mem_mb": 3.0}]}],
     ),
-    "--assert-recurrence-speedup": (
-        1.3, {"results": [{"num_nodes": 2000, "kernel_speedup": 1.5}]},
-        [{"results": [{"num_nodes": 2000, "kernel_speedup": 1.2}]}],
+    "--assert-train-over-kernel": (
+        5.0, {"results": [{"num_nodes": 2000, "train_ms": 400.0, "kernel_ms": 100.0},
+                          {"num_nodes": 200, "train_ms": 50.0, "kernel_ms": 10.0}]},
+        [{"results": [{"num_nodes": 2000, "train_ms": 810.0, "kernel_ms": 100.0}]},
+         {"results": [{"num_nodes": 2000, "train_ms": 400.0, "kernel_ms": 100.0},
+                      {"num_nodes": 200, "train_ms": 51.0, "kernel_ms": 10.0}]}],
     ),
     "--assert-serve-batch-growth": (
         1.5, {"throughput_batch8_over_batch1": 1.8},
@@ -288,11 +291,11 @@ class TestRecurrenceSection:
         assert batch_sizes == [1, 8, 32]
         assert recurrence["throughput_batch8_over_batch1"] > 0
 
-    def test_recurrence_speedup_assertion_fails_when_below(self, run_perf, tmp_path):
+    def test_train_over_kernel_assertion_fails_when_above(self, run_perf, tmp_path):
         with pytest.raises(SystemExit):
             run_perf.main(
                 ["--section", "recurrence"] + TINY
-                + ["--assert-recurrence-speedup", "1000",
+                + ["--assert-train-over-kernel", "0.001",
                    "--output", str(tmp_path / "r.json")]
             )
 

@@ -1,6 +1,7 @@
 """Tests for the frozen-graph inference service and the micro-batching queue."""
 
 import inspect
+import logging
 import threading
 import time
 from dataclasses import asdict
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import build_baseline
-from repro.core import SAGDFN, Trainer
+from repro.core import SAGDFN, SAGDFNConfig, Trainer
 from repro.data.synthetic.traffic import TrafficConfig, generate_traffic_dataset
 from repro.experiments.common import prepare_data_from_series, small_sagdfn_config
 from repro.optim import Adam
@@ -123,6 +124,28 @@ class TestForecastService:
         service.predict(batch_x)
         service.predict_one(batch_x[0])
         assert service.num_requests == batch_x.shape[0] + 1
+
+    @pytest.mark.parametrize("predefined", [True, False], ids=["predefined", "sagdfn"])
+    def test_missing_index_set_warning(self, caplog, predefined):
+        """A predefined-graph model has no index set by design and loads
+        quietly; a SAGDFN without one still warns that it samples one."""
+        config = SAGDFNConfig(num_nodes=8, history=3, horizon=2, num_significant=4,
+                              top_k=3, hidden_size=6, num_heads=2, ffn_hidden=4,
+                              use_predefined_graph=predefined)
+        adjacency = np.random.default_rng(0).random((8, 8)) if predefined else None
+        model = SAGDFN(config, predefined_adjacency=adjacency)
+        assert model.index_set is None
+        logger = logging.getLogger("repro.serve")  # does not propagate to caplog
+        logger.addHandler(caplog.handler)
+        try:
+            ForecastService(model)
+        finally:
+            logger.removeHandler(caplog.handler)
+        warnings = [record for record in caplog.records
+                    if "no frozen significant-neighbour index set" in record.getMessage()]
+        assert [record.levelname for record in warnings] == ([] if predefined
+                                                             else ["WARNING"])
+        assert (model.index_set is None) == predefined
 
     def test_frozen_graph_skips_attention(self, trained, monkeypatch):
         """After freezing, requests must not re-run SNS or the attention."""
@@ -437,6 +460,25 @@ class TestServeCLI:
         assert "served 6 requests" in printed
         predictions = np.load(output)
         assert predictions.shape[0] == 6
+
+    def test_single_process_path_loads_the_bundle_once(self, trained, monkeypatch,
+                                                       capsys):
+        import repro.serve.service as service_module
+        import repro.utils.checkpoint as checkpoint_module
+
+        _, _, _, bundle_path = trained
+        calls = []
+        load_bundle = checkpoint_module.load_bundle
+
+        def counting_load_bundle(*args, **kwargs):
+            calls.append(args)
+            return load_bundle(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "load_bundle", counting_load_bundle)
+        monkeypatch.setattr(service_module, "load_bundle", counting_load_bundle)
+        assert serve_main([str(bundle_path), "--requests", "2"]) == 0
+        assert len(calls) == 1
+        assert f"loaded {bundle_path} in " in capsys.readouterr().out
 
     def test_input_file_requests(self, trained, tmp_path, capsys):
         model, _, data, bundle_path = trained
