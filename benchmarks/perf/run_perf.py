@@ -502,14 +502,14 @@ def bench_online(args) -> dict:
     return section
 
 
-def bench_faults(args, max_batch: int = 1, restart_backoff_s: float = 0.1,
-                 restart_backoff_ceiling_s: float = 8.0) -> dict:
-    """One burst through a supervised cluster, fault-free, then with each worker killed.
+def bench_faults(args, max_batch: int = 1) -> dict:
+    """One burst through a cluster, fault-free, then with each worker killed.
 
     ``recovery_s`` is the time after the faulted burst until the supervisor
-    has the full pool live again; no request may stay unresolved.
+    has the full pool live again; no request may stay unresolved.  The
+    cluster runs under its production supervision timings.
     """
-    from repro.serve.cluster import ServingCluster
+    from repro.serve.cluster import SUPERVISION, ServingCluster
     from repro.serve.faults import FaultPlan
 
     requests, workers = args.cluster_requests, FAULT_WORKERS
@@ -523,13 +523,11 @@ def bench_faults(args, max_batch: int = 1, restart_backoff_s: float = 0.1,
     with tempfile.TemporaryDirectory() as tmp:
         bundle_path = save_bundle(model, Path(tmp) / "bench_bundle")
         windows = _windows(rng, model, requests)
-        supervised = dict(workers=workers, max_batch=max_batch, supervise=True,
-                          supervise_interval_s=0.05, restart_backoff_s=restart_backoff_s,
-                          restart_backoff_ceiling_s=restart_backoff_ceiling_s)
-        with ServingCluster(bundle_path, **supervised) as cluster:
+        with ServingCluster(bundle_path, workers=workers, max_batch=max_batch) as cluster:
             _warm(cluster, windows, workers)
             baseline, _ = _burst(cluster, windows)
-        with ServingCluster(bundle_path, fault_plan=plan, **supervised) as cluster:
+        with ServingCluster(bundle_path, workers=workers, max_batch=max_batch,
+                            fault_plan=plan) as cluster:
             faulted, _ = _burst(cluster, windows)
             # Respawns overlap the burst, so this is often near zero.
             recover_begin = time.perf_counter()
@@ -554,8 +552,8 @@ def bench_faults(args, max_batch: int = 1, restart_backoff_s: float = 0.1,
         "parked_workers": int(health.num_parked),
         "total_restarts": int(health.total_restarts),
         "redispatches": int(health.redispatches),
-        "restart_backoff_s": float(restart_backoff_s),
-        "restart_backoff_ceiling_s": float(restart_backoff_ceiling_s),
+        "restart_backoff_s": SUPERVISION.restart_backoff_s,
+        "restart_backoff_ceiling_s": SUPERVISION.restart_backoff_ceiling_s,
     }
 
 

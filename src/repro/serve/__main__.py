@@ -25,12 +25,14 @@ import argparse
 import sys
 import time
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.serve.batching import MicroBatcher
 from repro.serve.service import ForecastService
+from repro.utils.checkpoint import load_bundle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,61 +106,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_bundle_or_exit(path: Path):
-    """Load a serving bundle, mapping every failure to a one-line exit."""
-    from repro.utils.checkpoint import load_bundle
-
+@contextmanager
+def _one_line_errors(what: str, path: Path):
+    """Turn a failure to read ``what`` at ``path`` into a one-line exit."""
     try:
-        return load_bundle(path)
+        yield
     except FileNotFoundError:
-        raise SystemExit(f"error: checkpoint bundle not found: {path}")
+        raise SystemExit(f"error: {what} not found: {path}")
     except (zipfile.BadZipFile, ValueError, KeyError, EOFError, OSError) as error:
         detail = str(error).splitlines()[0] if str(error) else type(error).__name__
-        raise SystemExit(f"error: cannot load checkpoint bundle {path}: {detail}")
+        raise SystemExit(f"error: cannot load {what} {path}: {detail}")
 
 
-def _expected_width(config: dict) -> int | None:
-    """Request channel width the bundle's scenario implies (None without config)."""
-    if not config or "input_dim" not in config:
-        return None
-    return (
-        int(config["input_dim"])
-        + int(config.get("exog_dim", 0) or 0)
-        + int(bool(config.get("mask_input", False)))
-    )
-
-
-def _load_windows(args, config: dict) -> np.ndarray:
+def _load_windows(args, window_shape: tuple, mask_input: bool) -> np.ndarray:
+    """The ``(R, h, N, C)`` requests: ``--input``, else synthetic ones."""
     if args.input is not None:
-        try:
+        with _one_line_errors("--input file", args.input):
             windows = np.load(args.input)
-        except FileNotFoundError:
-            raise SystemExit(f"error: --input file not found: {args.input}")
-        except (zipfile.BadZipFile, ValueError, OSError) as error:
-            detail = str(error).splitlines()[0] if str(error) else type(error).__name__
-            raise SystemExit(f"error: cannot load --input {args.input}: {detail}")
         if windows.ndim == 3:
             windows = windows[None]
         if windows.ndim != 4:
             raise SystemExit(
                 f"--input must hold (R, h, N, C) or (h, N, C) windows, got {windows.shape}"
             )
-        width = _expected_width(config)
-        if width is not None and windows.shape[-1] != width:
+        if windows.shape[-1] != window_shape[-1]:
             raise SystemExit(
                 f"error: --input windows carry {windows.shape[-1]} channels but the "
-                f"bundle scenario expects {width} (input_dim + exog_dim + mask)"
+                f"bundle scenario expects {window_shape[-1]} "
+                "(input_dim + exog_dim + mask)"
             )
         return windows
-    if not config:
-        raise SystemExit("bundle has no model config; synthetic requests need --input")
-    # Scenario-aware request width: endogenous channels, declared exogenous
-    # covariates, plus the observation-mask channel of mask-aware models
-    # (a config that omits the fields gets the point/dense defaults).
-    width = _expected_width(config)
-    shape = (args.requests, config["history"], config["num_nodes"], width)
-    windows = np.random.default_rng(args.seed).normal(size=shape)
-    if config.get("mask_input", False):
+    # The scenario-aware request width: endogenous channels, declared
+    # exogenous covariates, plus the observation-mask channel of mask-aware
+    # models.
+    windows = np.random.default_rng(args.seed).normal(
+        size=(args.requests,) + tuple(window_shape)
+    )
+    if mask_input:
         windows[..., -1] = 1.0  # synthetic smoke requests are fully observed
     return windows
 
@@ -218,22 +202,24 @@ def _report_admission(args, rejected: int, shed: int, failed: int) -> int:
 def _serve_cluster(args) -> int:
     from repro.serve.cluster import ServingCluster
 
-    windows = _load_windows(args, _load_bundle_or_exit(args.checkpoint).config)
     load_start = time.perf_counter()
-    with ServingCluster(
-        args.checkpoint,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        chunk_size=args.chunk_size,
-        memory_budget_mb=args.memory_budget_mb,
-        max_pending=args.max_pending,
-    ) as cluster:
+    with _one_line_errors("checkpoint bundle", args.checkpoint):
+        cluster = ServingCluster(
+            args.checkpoint,
+            workers=args.workers,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_pending=args.max_pending,
+            chunk_size=args.chunk_size,
+            memory_budget_mb=args.memory_budget_mb,
+        )
+    with cluster:
         load_ms = (time.perf_counter() - load_start) * 1000.0
         print(
             f"started {cluster.workers}-worker cluster on {args.checkpoint} "
             f"in {load_ms:.1f} ms"
         )
+        windows = _load_windows(args, cluster.window_shape, cluster.mask_input)
         serve_start = time.perf_counter()
         results, rejected, shed, failed = _submit_and_gather(
             cluster.submit, windows, args.deadline_s
@@ -291,13 +277,8 @@ def _load_stream(args, config: dict) -> tuple[np.ndarray, np.ndarray | None]:
     mask_input = bool(config.get("mask_input", False))
     if args.stream is None:
         return _synthetic_stream(config, args.steps, args.seed), None
-    try:
+    with _one_line_errors("--stream file", args.stream):
         raw = np.load(args.stream)
-    except FileNotFoundError:
-        raise SystemExit(f"error: --stream file not found: {args.stream}")
-    except (zipfile.BadZipFile, ValueError, OSError) as error:
-        detail = str(error).splitlines()[0] if str(error) else type(error).__name__
-        raise SystemExit(f"error: cannot load --stream {args.stream}: {detail}")
     if raw.ndim == 2:
         raw = raw[..., None]
     if raw.ndim != 3 or raw.shape[1] != int(config["num_nodes"]):
@@ -325,7 +306,8 @@ def _serve_online(args) -> int:
         raise SystemExit("--sessions must be >= 1")
     if args.forecast_every < 1:
         raise SystemExit("--forecast-every must be >= 1")
-    bundle = _load_bundle_or_exit(args.checkpoint)
+    with _one_line_errors("checkpoint bundle", args.checkpoint):
+        bundle = load_bundle(args.checkpoint)
     if not bundle.config:
         raise SystemExit("bundle has no model config; --online cannot size sessions")
     stream, mask = _load_stream(args, bundle.config)
@@ -346,11 +328,11 @@ def _serve_online(args) -> int:
             workers=0 if args.workers == 1 else args.workers,
             drift=drift,
             update_scaler=args.update_scaler,
+            chunk_size=args.chunk_size,
+            memory_budget_mb=args.memory_budget_mb,
             **(
                 {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms}
-                if args.workers > 1
-                else {"chunk_size": args.chunk_size,
-                      "memory_budget_mb": args.memory_budget_mb}
+                if args.workers > 1 else {}
             ),
         )
     except (RuntimeError, ValueError) as error:
@@ -407,6 +389,11 @@ def main(argv=None) -> int:
         raise SystemExit("--requests must be >= 1")
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
+    # Checked here: inside the cluster they would read as a bundle error.
+    if args.max_batch < 1:
+        raise SystemExit("--max-batch must be >= 1")
+    if args.max_wait_ms < 0:
+        raise SystemExit("--max-wait-ms must be >= 0")
     if args.deadline_s is not None and args.deadline_s <= 0:
         raise SystemExit("--deadline-s must be > 0")
     if args.max_pending is not None and args.max_pending < 1:
@@ -417,15 +404,18 @@ def main(argv=None) -> int:
         return _serve_cluster(args)
 
     load_start = time.perf_counter()
-    service = ForecastService.from_bundle(
-        _load_bundle_or_exit(args.checkpoint),  # one-line exit on missing/corrupt paths
-        chunk_size=args.chunk_size,
-        memory_budget_mb=args.memory_budget_mb,
-    )
+    with _one_line_errors("checkpoint bundle", args.checkpoint):
+        bundle = load_bundle(args.checkpoint)
+    service = ForecastService.from_bundle(bundle, chunk_size=args.chunk_size,
+                                          memory_budget_mb=args.memory_budget_mb)
     load_ms = (time.perf_counter() - load_start) * 1000.0
     print(f"loaded {args.checkpoint} in {load_ms:.1f} ms")
 
-    windows = _load_windows(args, service.config)
+    config = service.config
+    windows = _load_windows(
+        args, (config["history"], config["num_nodes"], service.expected_channels),
+        service.mask_input,
+    )
     serve_start = time.perf_counter()
     with MicroBatcher.for_service(service, max_batch=args.max_batch,
                                   max_wait_ms=args.max_wait_ms,

@@ -34,11 +34,11 @@ the frozen index set), and fans requests over them:
   respawned worker catches up to the newest hot-swapped graph before its
   puller takes work again; a crash-looping worker (``max_crash_loop``
   rapid failures) is *parked* and the cluster degrades to the surviving
-  pool.  Queued work fails only when no puller can ever run again (every
-  slot parked, every worker dead without supervision, or no live worker
-  left to drain it at :meth:`close`), so pending futures never hang.
-  :meth:`health` reports the whole picture as a structured
-  :class:`ClusterHealth` snapshot.
+  pool.  Every timing of this machinery is one module constant,
+  :data:`SUPERVISION`.  Queued work fails only when no puller can ever run
+  again (every slot parked, or no live worker left to drain it at
+  :meth:`close`), so pending futures never hang.  :meth:`health` reports
+  the whole picture as a structured :class:`ClusterHealth` snapshot.
 * **Admission control** — ``submit(..., deadline_s=)`` sheds requests whose
   deadline expires while queued *before* they reach a kernel, and
   ``max_pending`` bounds the queue, rejecting excess work with a typed
@@ -76,7 +76,7 @@ import time
 import traceback
 import zlib
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -89,6 +89,7 @@ from repro.utils.checkpoint import load_bundle
 # BLAS pools are capped per worker *before* the child imports numpy: a
 # replica that grabs every core starves its peers and flattens the scaling
 # curve the pool exists to bend.
+_BLAS_THREADS = 1
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -97,10 +98,61 @@ _BLAS_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+# Every worker starts in a clean interpreter: fresh BLAS pools, no locks
+# inherited from the parent's threads.
+_START_METHOD = "spawn"
+
 # Ring depth per worker.  A worker has at most one batch in flight, so two
 # slots keep the next dispatch's write away from the response still being
 # copied out.
 _RING_SLOTS = 2
+
+
+@dataclass(frozen=True)
+class Supervision:
+    """How the cluster polices and replaces its workers (times in seconds).
+
+    ``request_timeout_s`` is the hard deadline of one batched round-trip:
+    a worker that exceeds it is declared dead and its batch is *not*
+    retried (the late worker may still complete the forward — at-most-once),
+    unlike a batch lost to process death, which goes back to the queue.
+    ``start_timeout_s`` bounds each worker's rehydrate-and-ready handshake.
+    An idle worker heartbeats every ``heartbeat_interval_s`` (also how often
+    an orphaned worker checks that its parent still exists) and is declared
+    dead once its last heartbeat is older than ``heartbeat_timeout_s``.  The
+    supervisor polls every ``supervise_interval_s``; the n-th consecutive
+    failure of a slot waits ``restart_backoff_s * 2**(n-1)``, capped at
+    ``restart_backoff_ceiling_s``, before the respawn.  After
+    ``max_crash_loop`` consecutive failures, each within
+    ``rapid_fail_window_s`` of its spawn, the slot is parked: no further
+    respawns, and the cluster degrades to the surviving pool.  A worker that
+    stays up longer than the window resets its failure count.
+    """
+
+    request_timeout_s: float
+    start_timeout_s: float
+    heartbeat_interval_s: float
+    heartbeat_timeout_s: float
+    supervise_interval_s: float
+    restart_backoff_s: float
+    restart_backoff_ceiling_s: float
+    max_crash_loop: int
+    rapid_fail_window_s: float
+
+
+# A cluster reads this once, at construction; tests shorten it with
+# ``monkeypatch.setattr(cluster, "SUPERVISION", dataclasses.replace(...))``.
+SUPERVISION = Supervision(
+    request_timeout_s=120.0,
+    start_timeout_s=120.0,
+    heartbeat_interval_s=1.0,
+    heartbeat_timeout_s=5.0,
+    supervise_interval_s=0.2,
+    restart_backoff_s=0.5,
+    restart_backoff_ceiling_s=8.0,
+    max_crash_loop=3,
+    rapid_fail_window_s=30.0,
+)
 
 
 class ClusterError(RuntimeError):
@@ -144,18 +196,11 @@ class WorkerHealth:
     heartbeat_age_s: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "worker_id": self.worker_id,
-            "state": self.state,
-            "pid": self.pid,
-            "restarts": self.restarts,
-            "consecutive_failures": self.consecutive_failures,
-            "backoff_remaining_s": round(self.backoff_remaining_s, 3),
-            "heartbeat_age_s": (
-                None if self.heartbeat_age_s is None
-                else round(self.heartbeat_age_s, 3)
-            ),
-        }
+        record = asdict(self)
+        record["backoff_remaining_s"] = round(self.backoff_remaining_s, 3)
+        if self.heartbeat_age_s is not None:
+            record["heartbeat_age_s"] = round(self.heartbeat_age_s, 3)
+        return record
 
 
 @dataclass
@@ -181,17 +226,8 @@ class ClusterHealth:
         return self.num_alive < self.num_workers
 
     def to_dict(self) -> dict:
-        return {
-            "num_workers": self.num_workers,
-            "num_alive": self.num_alive,
-            "num_parked": self.num_parked,
-            "degraded": self.degraded,
-            "total_restarts": self.total_restarts,
-            "redispatches": self.redispatches,
-            "generation": self.generation,
-            "pending": self.pending,
-            "workers": [worker.to_dict() for worker in self.workers],
-        }
+        return {**asdict(self), "degraded": self.degraded,
+                "workers": [worker.to_dict() for worker in self.workers]}
 
 
 def _geometry(config: dict, dtype: str) -> tuple[tuple, tuple, np.dtype]:
@@ -220,6 +256,19 @@ def _geometry(config: dict, dtype: str) -> tuple[tuple, tuple, np.dtype]:
     window_shape = (history, num_nodes, input_dim + exog_dim + mask_channel)
     prediction_shape = (horizon, num_nodes, output_dim * num_quantiles)
     return window_shape, prediction_shape, np.dtype(dtype)
+
+
+def _ring_view(shm: shared_memory.SharedMemory, max_batch: int,
+               shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """The ``(slots, max_batch, *shape)`` array over one ring's shared memory."""
+    return np.ndarray((_RING_SLOTS, max_batch) + tuple(shape), dtype=dtype,
+                      buffer=shm.buf)
+
+
+def _create_ring(max_batch: int, shape: tuple,
+                 dtype: np.dtype) -> shared_memory.SharedMemory:
+    size = _RING_SLOTS * max_batch * int(np.prod(shape)) * dtype.itemsize
+    return shared_memory.SharedMemory(create=True, size=max(1, size))
 
 
 def _worker_main(
@@ -262,14 +311,8 @@ def _worker_main(
         # the child must neither unlink nor unregister the rings.
         request_shm = shared_memory.SharedMemory(name=request_name)
         response_shm = shared_memory.SharedMemory(name=response_name)
-        requests = np.ndarray(
-            (_RING_SLOTS, max_batch) + tuple(window_shape), dtype=dtype,
-            buffer=request_shm.buf,
-        )
-        responses = np.ndarray(
-            (_RING_SLOTS, max_batch) + tuple(prediction_shape), dtype=dtype,
-            buffer=response_shm.buf,
-        )
+        requests = _ring_view(request_shm, max_batch, window_shape, dtype)
+        responses = _ring_view(response_shm, max_batch, prediction_shape, dtype)
         injector = FaultInjector(fault_schedule)
         conn.send(("ready", os.getpid()))
     except Exception:
@@ -352,14 +395,13 @@ def _worker_main(
 class _WorkerChannel:
     """Parent-side handle of one worker: rings, control pipe, liveness."""
 
-    def __init__(self, worker_id: int, ctx, bundle_path: str,
-                 max_batch: int, window_shape: tuple, prediction_shape: tuple,
-                 dtype: np.dtype, request_timeout_s: float,
-                 heartbeat_interval_s: float, blas_threads: int | None,
-                 service_kwargs: dict, fault_schedule: dict | None = None):
+    def __init__(self, worker_id: int, bundle_path: str, max_batch: int,
+                 window_shape: tuple, prediction_shape: tuple, dtype: np.dtype,
+                 supervision: Supervision, service_kwargs: dict,
+                 fault_schedule: dict | None = None):
         self.worker_id = worker_id
         self.max_batch = max_batch
-        self.request_timeout_s = request_timeout_s
+        self.supervision = supervision
         self.alive = False
         self.last_heartbeat: float | None = None
         self._seq = 0
@@ -369,13 +411,10 @@ class _WorkerChannel:
         # assert the no-slot-reuse-while-unread invariant under wraparound.
         self.trace = None
         # Spawn parameters kept for supervised respawn.
-        self._ctx = ctx
         self._bundle_path = str(bundle_path)
         self._window_shape = tuple(window_shape)
         self._prediction_shape = tuple(prediction_shape)
         self._dtype = dtype
-        self._heartbeat_interval_s = heartbeat_interval_s
-        self._blas_threads = blas_threads
         self._service_kwargs = service_kwargs
         # Supervisor bookkeeping (owned by the cluster's supervisor thread).
         self.restarts = 0
@@ -384,79 +423,46 @@ class _WorkerChannel:
         self.next_restart_at: float | None = None
         self.started_at: float | None = None
 
-        # Partial-creation cleanup: if anything past the first allocation
-        # fails (the second ring, the pipe, the spawn itself), release what
-        # exists before re-raising — a failed worker slot must never leak
-        # shared-memory segments or a half-started process.
+        # If anything past the first allocation fails (the second ring, the
+        # pipe, the spawn itself), shutdown() releases what exists before
+        # re-raising — a failed worker slot must never leak shared-memory
+        # segments or a half-started process.
         self.request_shm = self.response_shm = None
         self.conn = None
         self.process = None
         try:
-            window_bytes = int(np.prod(window_shape)) * dtype.itemsize
-            prediction_bytes = int(np.prod(prediction_shape)) * dtype.itemsize
-            self.request_shm = shared_memory.SharedMemory(
-                create=True, size=max(1, _RING_SLOTS * max_batch * window_bytes)
-            )
-            self.response_shm = shared_memory.SharedMemory(
-                create=True,
-                size=max(1, _RING_SLOTS * max_batch * prediction_bytes),
-            )
-            self.request_view = np.ndarray(
-                (_RING_SLOTS, max_batch) + tuple(window_shape), dtype=dtype,
-                buffer=self.request_shm.buf,
-            )
-            self.response_view = np.ndarray(
-                (_RING_SLOTS, max_batch) + tuple(prediction_shape), dtype=dtype,
-                buffer=self.response_shm.buf,
-            )
+            self.request_shm = _create_ring(max_batch, window_shape, dtype)
+            self.response_shm = _create_ring(max_batch, prediction_shape, dtype)
+            self.request_view = _ring_view(self.request_shm, max_batch,
+                                           window_shape, dtype)
+            self.response_view = _ring_view(self.response_shm, max_batch,
+                                            prediction_shape, dtype)
             self._spawn(fault_schedule)
         except Exception:
-            self._release_partial()
+            self.shutdown()
             raise
-
-    def _release_partial(self) -> None:
-        """Best-effort cleanup of whatever the constructor managed to create."""
-        if self.process is not None and self.process.is_alive():
-            try:
-                self.process.kill()
-                self.process.join(2.0)
-            except Exception:
-                pass
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except Exception:
-                pass
-        for shm in (self.request_shm, self.response_shm):
-            if shm is None:
-                continue
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
 
     def _spawn(self, fault_schedule: dict | None = None) -> None:
         """Create the control pipe and start a fresh worker process."""
-        self.conn, child_conn = self._ctx.Pipe(duplex=True)
-        self.process = self._ctx.Process(
+        ctx = multiprocessing.get_context(_START_METHOD)
+        self.conn, child_conn = ctx.Pipe(duplex=True)
+        # The heartbeat interval travels as an argument: a spawned child
+        # re-imports this module and would not see a patched SUPERVISION.
+        self.process = ctx.Process(
             target=_worker_main,
             name=f"repro-serve-worker-{self.worker_id}",
             args=(self.worker_id, self._bundle_path, child_conn,
                   self.request_shm.name, self.response_shm.name,
                   self.max_batch, self._window_shape,
                   self._prediction_shape, self._dtype.str,
-                  self._heartbeat_interval_s, self._service_kwargs,
+                  self.supervision.heartbeat_interval_s, self._service_kwargs,
                   fault_schedule),
             daemon=True,
         )
         # Cap the replica's BLAS pool before numpy is imported in the child
         # (the env is captured at spawn time).
-        saved_env: dict[str, str | None] = {}
-        if self._blas_threads is not None:
-            for var in _BLAS_ENV_VARS:
-                saved_env[var] = os.environ.get(var)
-                os.environ[var] = str(self._blas_threads)
+        saved_env = {var: os.environ.get(var) for var in _BLAS_ENV_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_ENV_VARS, str(_BLAS_THREADS)))
         try:
             self.process.start()
         finally:
@@ -468,8 +474,9 @@ class _WorkerChannel:
         child_conn.close()  # the child's end lives in the child now
 
     # ------------------------------------------------------------------ #
-    def wait_ready(self, timeout_s: float) -> None:
+    def wait_ready(self) -> None:
         """Block until the worker reports ready (or fail descriptively)."""
+        timeout_s = self.supervision.start_timeout_s
         deadline = time.monotonic() + timeout_s
         while True:
             remaining = deadline - time.monotonic()
@@ -511,7 +518,7 @@ class _WorkerChannel:
     def alive(self, value: bool) -> None:
         self._alive = value
 
-    def poll_liveness(self, heartbeat_timeout_s: float) -> bool:
+    def poll_liveness(self) -> bool:
         """Idle-path death detection; returns whether the worker is alive.
 
         Non-blocking on the dispatch lock: a worker with a batch in flight
@@ -539,7 +546,8 @@ class _WorkerChannel:
                 intact = False
             self.alive = intact and (
                 self.last_heartbeat is None
-                or time.monotonic() - self.last_heartbeat <= heartbeat_timeout_s
+                or time.monotonic() - self.last_heartbeat
+                <= self.supervision.heartbeat_timeout_s
             )
             return self.alive
         finally:
@@ -563,14 +571,15 @@ class _WorkerChannel:
             raise WorkerDiedError(
                 f"worker {self.worker_id} control pipe is closed"
             ) from error
-        deadline = time.monotonic() + self.request_timeout_s
+        timeout_s = self.supervision.request_timeout_s
+        deadline = time.monotonic() + timeout_s
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self.alive = False
                 raise WorkerDiedError(
                     f"worker {self.worker_id} did not answer within "
-                    f"{self.request_timeout_s:.0f} s ({action} in flight)",
+                    f"{timeout_s:.0f} s ({action} in flight)",
                     may_have_executed=True,
                 )
             if not self.conn.poll(min(0.1, remaining)):
@@ -658,25 +667,29 @@ class _WorkerChannel:
             self._swap(index_set)
 
     def _close_process(self, join_timeout_s: float = 10.0) -> None:
-        """Stop the worker process and close the pipe (never raises)."""
+        """Stop the worker process and close the pipe (never raises).
+
+        Either may be missing, or the process never started, when the
+        constructor failed part-way.
+        """
         try:
             self.conn.send(("stop",))
         except Exception:
             pass
-        self.process.join(join_timeout_s)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(2.0)
+        if self.process is not None and self.process.pid is not None:
+            self.process.join(join_timeout_s)
             if self.process.is_alive():
-                self.process.kill()
+                self.process.terminate()
                 self.process.join(2.0)
+                if self.process.is_alive():
+                    self.process.kill()
+                    self.process.join(2.0)
         try:
             self.conn.close()
         except Exception:
             pass
 
-    def respawn(self, start_timeout_s: float,
-                fault_schedule: dict | None = None,
+    def respawn(self, fault_schedule: dict | None = None,
                 index_set: np.ndarray | None = None) -> None:
         """Replace a dead worker with a fresh process on the same rings.
 
@@ -691,7 +704,7 @@ class _WorkerChannel:
             self.alive = False
             self._close_process(join_timeout_s=2.0)
             self._spawn(fault_schedule)
-            self.wait_ready(start_timeout_s)
+            self.wait_ready()
             if index_set is not None:
                 try:
                     self._swap(index_set)
@@ -700,7 +713,11 @@ class _WorkerChannel:
                     raise
 
     def shutdown(self, join_timeout_s: float = 10.0) -> None:
-        """Stop the worker and release the rings (idempotent, never raises)."""
+        """Stop the worker and release the rings (idempotent, never raises).
+
+        Also the cleanup of a half-built channel: whatever the constructor
+        did not get to create is ``None`` and skipped.
+        """
         self.alive = False
         self._close_process(join_timeout_s)
         for shm in (self.request_shm, self.response_shm):
@@ -731,56 +748,21 @@ class ServingCluster:
         :class:`~repro.serve.batching.AdmissionQueue`); ``max_batch`` is
         also the ring-slot capacity, and the workspace size each worker
         pins.
-    request_timeout_s:
-        Hard deadline for one batched round-trip; a worker that exceeds it
-        is declared dead.  Its batch is *not* retried (the late worker may
-        still complete the forward — at-most-once), unlike a batch lost to
-        process death, which goes back to the queue.
-    heartbeat_interval_s:
-        Idle-worker heartbeat period; also how often an orphaned worker
-        checks that its parent still exists.
-    start_timeout_s:
-        How long to wait for each worker's rehydrate-and-ready handshake.
-    blas_threads:
-        BLAS thread cap exported to every worker before it imports numpy
-        (default 1 — replicas must not fight over cores).  ``None`` leaves
-        the host's BLAS configuration untouched.
-    chunk_size / memory_budget_mb:
-        Forwarded to every worker's
-        :meth:`ForecastService.from_checkpoint`.
-    mp_context:
-        :mod:`multiprocessing` start method.  The default ``"spawn"`` gives
-        every worker a clean interpreter (fresh BLAS pools, no inherited
-        locks); ``"fork"`` starts faster but is unsafe under threads.
-    supervise:
-        Run the supervisor thread (default).  ``False`` keeps detection
-        only: a dead worker permanently shrinks the pool.
-    supervise_interval_s:
-        Supervisor polling period.
-    restart_backoff_s / restart_backoff_ceiling_s:
-        Exponential-backoff schedule for respawning a dead worker: the
-        n-th consecutive failure waits ``restart_backoff_s * 2**(n-1)``
-        seconds, capped at the ceiling.
-    max_crash_loop:
-        Circuit breaker: after this many *rapid* consecutive failures
-        (each within ``rapid_fail_window_s`` of its spawn) the worker slot
-        is parked — no further respawns — and the cluster degrades to the
-        surviving pool.  A worker that stays up longer than the window
-        resets its failure count.
-    heartbeat_timeout_s:
-        Idle heartbeat staleness beyond which the supervisor declares a
-        worker dead (a wedged-but-running process).  Defaults to
-        ``max(5 * heartbeat_interval_s, 5.0)``.
     max_pending:
         Admission watermark of the queue: :meth:`submit` raises
         :class:`~repro.serve.batching.Overloaded` while this many requests
         wait for a puller.  ``None`` keeps the queue unbounded.
+    chunk_size / memory_budget_mb:
+        Forwarded to every worker's
+        :meth:`ForecastService.from_checkpoint`.
     fault_plan:
         A :class:`~repro.serve.faults.FaultPlan` scheduling deterministic
         worker kills/stalls/corruption/slow batches for chaos testing.
         ``None`` (production) injects nothing.
 
-    Submitting returns :class:`concurrent.futures.Future`\\ s; asyncio
+    Every worker runs with one BLAS thread in a spawned interpreter, and a
+    supervisor thread always polices the pool with the timings of
+    :data:`SUPERVISION`, read once here.  Submitting returns :class:`concurrent.futures.Future`\\ s; asyncio
     callers use :meth:`predict_async` / :meth:`serve_async`.  Use as a
     context manager (or call :meth:`close`) — shutdown lets the live
     pullers drain the queue, so in-flight futures resolve or fail
@@ -794,35 +776,13 @@ class ServingCluster:
         workers: int = 2,
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
-        request_timeout_s: float = 120.0,
-        heartbeat_interval_s: float = 1.0,
-        start_timeout_s: float = 120.0,
-        blas_threads: int | None = 1,
+        max_pending: int | None = None,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        mp_context: str = "spawn",
-        supervise: bool = True,
-        supervise_interval_s: float = 0.2,
-        restart_backoff_s: float = 0.5,
-        restart_backoff_ceiling_s: float = 8.0,
-        max_crash_loop: int = 3,
-        rapid_fail_window_s: float = 30.0,
-        heartbeat_timeout_s: float | None = None,
-        max_pending: int | None = None,
         fault_plan: FaultPlan | None = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if supervise_interval_s <= 0:
-            raise ValueError("supervise_interval_s must be > 0")
-        if restart_backoff_s <= 0 or restart_backoff_ceiling_s < restart_backoff_s:
-            raise ValueError(
-                "restart_backoff_s must be > 0 and <= restart_backoff_ceiling_s"
-            )
-        if max_crash_loop < 1:
-            raise ValueError("max_crash_loop must be >= 1")
-        if rapid_fail_window_s <= 0:
-            raise ValueError("rapid_fail_window_s must be > 0")
         if fault_plan is not None and fault_plan.workers < workers:
             raise ValueError(
                 f"fault plan covers {fault_plan.workers} worker(s) but the "
@@ -835,10 +795,8 @@ class ServingCluster:
         )
         self.window_shape = window_shape
         self.prediction_shape = prediction_shape
-        self.dtype = dtype
         self.mask_input = bool(bundle.config.get("mask_input", False))
         self.expected_channels = int(window_shape[-1])
-        self.max_batch = max_batch
         self.index_set = (
             None
             if bundle.index_set is None
@@ -846,16 +804,7 @@ class ServingCluster:
         )
         self._generation = 0
         self._swap_lock = threading.Lock()
-        self.start_timeout_s = start_timeout_s
-        self.supervise_interval_s = supervise_interval_s
-        self.restart_backoff_s = restart_backoff_s
-        self.restart_backoff_ceiling_s = restart_backoff_ceiling_s
-        self.max_crash_loop = max_crash_loop
-        self.rapid_fail_window_s = rapid_fail_window_s
-        self.heartbeat_timeout_s = (
-            max(5.0 * heartbeat_interval_s, 5.0)
-            if heartbeat_timeout_s is None else heartbeat_timeout_s
-        )
+        self.supervision = SUPERVISION
         self.fault_plan = fault_plan
 
         service_kwargs = {
@@ -865,7 +814,6 @@ class ServingCluster:
             # rehydrating the same file need not re-hash it.
             "verify_digest": False,
         }
-        ctx = multiprocessing.get_context(mp_context)
         self._queue = AdmissionQueue(
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
@@ -883,7 +831,6 @@ class ServingCluster:
         self._pool_changed = threading.Condition()
         self._redispatches = 0
         self._stop_supervisor = threading.Event()
-        self._supervisor: threading.Thread | None = None
         try:
             for worker_id in range(workers):
                 schedule = (
@@ -892,22 +839,21 @@ class ServingCluster:
                 )
                 self._channels.append(
                     _WorkerChannel(
-                        worker_id, ctx, str(self.bundle_path),
-                        max_batch, window_shape, prediction_shape, dtype,
-                        request_timeout_s, heartbeat_interval_s,
-                        blas_threads, service_kwargs, schedule,
+                        worker_id, str(self.bundle_path), max_batch,
+                        window_shape, prediction_shape, dtype,
+                        self.supervision, service_kwargs, schedule,
                     )
                 )
             for channel in self._channels:
-                channel.wait_ready(start_timeout_s)
+                channel.wait_ready()
         except Exception:
-            self._teardown()
+            for channel in self._channels:
+                channel.shutdown()
             raise
-        if supervise:
-            self._supervisor = threading.Thread(
-                target=self._supervise, name="cluster-supervisor", daemon=True
-            )
-            self._supervisor.start()
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="cluster-supervisor", daemon=True
+        )
+        self._supervisor.start()
         for channel in self._channels:
             puller = threading.Thread(
                 target=self._pull, args=(channel,),
@@ -929,12 +875,11 @@ class ServingCluster:
         A live channel has caught up to the newest generation: a respawn
         applies it under the dispatch lock before any batch can reach the
         new process.  A down channel waits for its respawn, unless the slot
-        is parked, the cluster is closing, or nothing supervises it.
+        is parked or the cluster is closing.
         """
         with self._pool_changed:
             while not channel.alive:
-                if (channel.parked or self._closed
-                        or self._supervisor is None):
+                if channel.parked or self._closed:
                     return False
                 self._pool_changed.wait()
             return True
@@ -985,20 +930,21 @@ class ServingCluster:
     # ------------------------------------------------------------------ #
     def _register_failure(self, channel: _WorkerChannel, now: float) -> None:
         """Schedule a backoff restart, or park a crash-looping worker."""
+        supervision = self.supervision
         if (channel.started_at is not None
-                and now - channel.started_at > self.rapid_fail_window_s):
+                and now - channel.started_at > supervision.rapid_fail_window_s):
             # The worker served fine for a while before dying: not a crash
             # loop, start the backoff ladder from the bottom again.
             channel.consecutive_failures = 0
         channel.consecutive_failures += 1
-        if channel.consecutive_failures >= self.max_crash_loop:
+        if channel.consecutive_failures >= supervision.max_crash_loop:
             channel.parked = True
             channel.next_restart_at = None
             self._notify_pool()
             return
         delay = min(
-            self.restart_backoff_s * 2 ** (channel.consecutive_failures - 1),
-            self.restart_backoff_ceiling_s,
+            supervision.restart_backoff_s * 2 ** (channel.consecutive_failures - 1),
+            supervision.restart_backoff_ceiling_s,
         )
         channel.next_restart_at = now + delay
 
@@ -1016,22 +962,22 @@ class ServingCluster:
             # A replacement spawned after a hot-swap must serve the
             # *current* graph, not the bundle's frozen one.
             catch_up = self.index_set if self._generation > 0 else None
-            channel.respawn(self.start_timeout_s, schedule, catch_up)
+            channel.respawn(schedule, catch_up)
         channel.restarts += 1
         channel.next_restart_at = None
         self._notify_pool()
 
     def _supervise(self) -> None:
         """Detect dead workers and respawn them with backoff + circuit breaker."""
-        while not self._stop_supervisor.wait(self.supervise_interval_s):
+        while not self._stop_supervisor.wait(
+                self.supervision.supervise_interval_s):
             for channel in self._channels:
                 if self._closed or self._stop_supervisor.is_set():
                     return
                 if channel.parked:
                     continue
                 try:
-                    if channel.alive and channel.poll_liveness(
-                            self.heartbeat_timeout_s):
+                    if channel.alive and channel.poll_liveness():
                         continue
                     now = time.monotonic()
                     if channel.next_restart_at is None:
@@ -1065,11 +1011,10 @@ class ServingCluster:
             heartbeat_age = None
             if channel.alive and channel.last_heartbeat is not None:
                 heartbeat_age = max(0.0, now - channel.last_heartbeat)
-            pid = channel.process.pid if channel.process is not None else None
             workers.append(WorkerHealth(
                 worker_id=channel.worker_id,
                 state=state,
-                pid=pid,
+                pid=channel.process.pid,
                 restarts=channel.restarts,
                 consecutive_failures=channel.consecutive_failures,
                 backoff_remaining_s=backoff_remaining,
@@ -1208,10 +1153,6 @@ class ServingCluster:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _teardown(self) -> None:
-        for channel in self._channels:
-            channel.shutdown()
-
     def close(self) -> None:
         """Drain in-flight requests, stop the workers, release the rings.
 
@@ -1226,13 +1167,13 @@ class ServingCluster:
                 return
             self._closed = True
         self._stop_supervisor.set()
-        if self._supervisor is not None:
-            self._supervisor.join(timeout=10.0)
+        self._supervisor.join(timeout=10.0)
         self._queue.close()
         self._notify_pool()
         for puller in self._pullers:
             puller.join()
-        self._teardown()
+        for channel in self._channels:
+            channel.shutdown()
 
     def __enter__(self) -> "ServingCluster":
         return self

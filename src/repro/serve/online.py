@@ -579,7 +579,7 @@ class SessionManager:
         else:
             from repro.serve.service import ForecastService
 
-            target = ForecastService.from_checkpoint(path, **target_kwargs)
+            target = ForecastService.from_bundle(bundle, **target_kwargs)
             scaler = target.scaler
         return cls(
             target,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -45,6 +45,19 @@ def _autograd_forecast(service, history) -> np.ndarray:
 def autograd_forecast():
     """The autograd reference of ``service.predict``; see :func:`_autograd_forecast`."""
     return _autograd_forecast
+
+
+@pytest.fixture
+def supervision(monkeypatch):
+    """``supervision(**overrides)`` replaces fields of the serving cluster's
+    ``SUPERVISION`` timings for one test; clusters built afterwards use them."""
+    from repro.serve import cluster
+
+    def override(**timings):
+        monkeypatch.setattr(cluster, "SUPERVISION",
+                            replace(cluster.SUPERVISION, **timings))
+
+    return override
 
 
 @pytest.fixture(scope="session")

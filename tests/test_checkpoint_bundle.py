@@ -43,6 +43,11 @@ def _rewrite_bundle(path, edit_info=None, drop=()):
     return path
 
 
+# The one-shot CLI reads the bundle itself with one worker and through the
+# cluster with more; both must fail with the same one-line error.
+WORKER_MODES = pytest.mark.parametrize("workers", ["1", "2"])
+
+
 def _set_version(version):
     def edit(info):
         if version is None:
@@ -235,7 +240,8 @@ class TestBundleIntegrity:
         leftovers = [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
         assert leftovers == []
 
-    def test_serve_cli_reports_corruption_as_one_line_error(self, tmp_path):
+    @WORKER_MODES
+    def test_serve_cli_reports_corruption_as_one_line_error(self, tmp_path, workers):
         from repro.serve.__main__ import main as serve_main
 
         model = SAGDFN(_tiny_config())
@@ -245,7 +251,7 @@ class TestBundleIntegrity:
         data[len(data) // 2] ^= 0xFF  # flip one byte mid-archive
         path.write_bytes(bytes(data))
         with pytest.raises(SystemExit, match="error: cannot load"):
-            serve_main([str(path), "--requests", "1"])
+            serve_main([str(path), "--requests", "1", "--workers", workers])
 
     @pytest.mark.parametrize(
         "edit_info, drop",
@@ -253,18 +259,21 @@ class TestBundleIntegrity:
          (_set_version(BUNDLE_VERSION + 1), ())],
         ids=["no-digest", "version-absent", "version-2", "version-4"],
     )
+    @WORKER_MODES
     def test_serve_cli_reports_rejected_bundle_as_one_line_error(self, tmp_path,
-                                                                 edit_info, drop):
+                                                                 edit_info, drop,
+                                                                 workers):
         from repro.serve.__main__ import main as serve_main
 
         model = SAGDFN(_tiny_config())
         model.refresh_graph(0)
         path = _rewrite_bundle(save_bundle(model, tmp_path / "bundle"), edit_info, drop)
         with pytest.raises(SystemExit, match="error: cannot load") as raised:
-            serve_main([str(path), "--requests", "1"])
+            serve_main([str(path), "--requests", "1", "--workers", workers])
         assert "\n" not in str(raised.value)
 
-    def test_serve_cli_reports_truncation_as_one_line_error(self, tmp_path):
+    @WORKER_MODES
+    def test_serve_cli_reports_truncation_as_one_line_error(self, tmp_path, workers):
         from repro.serve.__main__ import main as serve_main
 
         model = SAGDFN(_tiny_config())
@@ -273,7 +282,7 @@ class TestBundleIntegrity:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 3])
         with pytest.raises(SystemExit, match="error: cannot load"):
-            serve_main([str(path), "--requests", "1"])
+            serve_main([str(path), "--requests", "1", "--workers", workers])
 
 
 def _per_head_attention_state(state):

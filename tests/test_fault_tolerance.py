@@ -60,6 +60,11 @@ def windows(bundle):
                             config.input_dim))
 
 
+# Respawn timings short enough for a test to watch a worker come back.
+FAST_RESPAWN = dict(supervise_interval_s=0.02, restart_backoff_s=0.05,
+                    restart_backoff_ceiling_s=0.4)
+
+
 def _wait_for(predicate, timeout_s=60.0, interval_s=0.05):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -232,7 +237,7 @@ class TestAdmissionControl:
         typed ``Overloaded`` — and everything admitted must resolve."""
         path, _ = bundle
         with ServingCluster(path, workers=2, max_batch=1, max_wait_ms=0.0,
-                            max_pending=1, supervise=False) as cluster:
+                            max_pending=1) as cluster:
             cluster.predict(windows[0], timeout=60)  # warm both ends
             futures, rejected = [], 0
             for _ in range(30):
@@ -259,10 +264,11 @@ class TestAdmissionControl:
     ids=["no-wait", "wait-2ms-deadline"],
 )
 def two_kill_burst(request, bundle):
-    """64 concurrent submissions through a supervised 2-worker cluster
-    while ``FaultPlan(workers=2, seed=0, horizon=16, kills_per_worker=1)``
-    SIGKILLs each worker once.  Returns the windows, each request's outcome
-    (its prediction, its exception, or ``"unresolved"``) and the health."""
+    """64 concurrent submissions through a 2-worker cluster, under the
+    production supervision timings, while ``FaultPlan(workers=2, seed=0,
+    horizon=16, kills_per_worker=1)`` SIGKILLs each worker once.  Returns
+    the windows, each request's outcome (its prediction, its exception, or
+    ``"unresolved"``) and the health."""
     from concurrent.futures import TimeoutError as FutureTimeoutError
 
     path, config = bundle
@@ -273,9 +279,7 @@ def two_kill_burst(request, bundle):
         size=(64, config.history, config.num_nodes, config.input_dim)
     )
     outcomes = []
-    with ServingCluster(path, workers=2, max_batch=1, supervise=True,
-                        supervise_interval_s=0.02, restart_backoff_s=0.05,
-                        restart_backoff_ceiling_s=0.4, fault_plan=plan,
+    with ServingCluster(path, workers=2, max_batch=1, fault_plan=plan,
                         **params) as cluster:
         futures = [cluster.submit(window, deadline_s=deadline_s)
                    for window in burst]
@@ -319,7 +323,8 @@ class TestFaultSurvival:
 # Supervised recovery + chaos soak
 # --------------------------------------------------------------------- #
 class TestSupervisedRecovery:
-    def test_chaos_soak_kill_every_worker_during_burst(self, bundle, windows):
+    def test_chaos_soak_kill_every_worker_during_burst(self, bundle, windows,
+                                                       supervision):
         """The acceptance soak: a seeded plan SIGKILLs each of two workers
         once during a concurrent burst.  Every future resolves (result or
         typed error), successful batch-1 answers are bit-identical to the
@@ -328,11 +333,8 @@ class TestSupervisedRecovery:
         plan = FaultPlan(workers=2, seed=0, horizon=4, kills_per_worker=1)
         service = ForecastService.from_checkpoint(path)
         reference = [service.predict(window[None])[0] for window in windows]
+        supervision(request_timeout_s=60.0, **FAST_RESPAWN)
         with ServingCluster(path, workers=2, max_batch=1, max_wait_ms=0.0,
-                            request_timeout_s=60.0,
-                            supervise=True, supervise_interval_s=0.02,
-                            restart_backoff_s=0.05,
-                            restart_backoff_ceiling_s=0.4,
                             fault_plan=plan) as cluster:
             futures = []
             for _ in range(4):  # 48 submissions: both kill ordinals < 4 fire
@@ -364,7 +366,7 @@ class TestSupervisedRecovery:
                                   reference[0])
 
     def test_respawned_worker_serves_current_generation(self, bundle,
-                                                        windows):
+                                                        windows, supervision):
         """A worker respawned after a hot-swap must serve the swapped
         graph, not the bundle's frozen one."""
         from itertools import combinations
@@ -382,10 +384,9 @@ class TestSupervisedRecovery:
         cold._index_set = fresh.copy()
         ref_fresh = ForecastService(cold).predict(windows[0][None])[0]
 
-        with ServingCluster(path, workers=1, max_batch=1, max_wait_ms=0.0,
-                            supervise=True, supervise_interval_s=0.02,
-                            restart_backoff_s=0.05,
-                            restart_backoff_ceiling_s=0.4) as cluster:
+        supervision(**FAST_RESPAWN)
+        with ServingCluster(path, workers=1, max_batch=1,
+                            max_wait_ms=0.0) as cluster:
             assert cluster.swap_index_set(fresh) == 1
             assert np.array_equal(cluster.predict(windows[0], timeout=60),
                                   ref_fresh)
@@ -400,7 +401,8 @@ class TestSupervisedRecovery:
             assert cluster.health().total_restarts >= 1
 
     def test_window_submitted_while_down_waits_for_catch_up(self, bundle,
-                                                            windows):
+                                                            windows,
+                                                            supervision):
         """A window submitted while the only worker is down is accepted and
         served by the respawned worker only after it caught up to the
         hot-swapped graph: bit-equal to a cold start on the fresh set."""
@@ -418,10 +420,10 @@ class TestSupervisedRecovery:
         cold._index_set = fresh.copy()
         ref_fresh = ForecastService(cold).predict(windows[0][None])[0]
 
-        with ServingCluster(path, workers=1, max_batch=1, max_wait_ms=0.0,
-                            supervise=True, supervise_interval_s=0.02,
-                            restart_backoff_s=0.5,
-                            restart_backoff_ceiling_s=1.0) as cluster:
+        supervision(supervise_interval_s=0.02, restart_backoff_s=0.5,
+                    restart_backoff_ceiling_s=1.0)
+        with ServingCluster(path, workers=1, max_batch=1,
+                            max_wait_ms=0.0) as cluster:
             assert cluster.swap_index_set(fresh) == 1
             cluster._channels[0].process.kill()
             assert _wait_for(lambda: cluster.alive_workers == 0,
@@ -431,15 +433,14 @@ class TestSupervisedRecovery:
             assert cluster._channels[0].restarts == 1
 
     def test_crash_loop_parks_worker_and_pool_degrades(self, bundle,
-                                                       windows):
+                                                       windows, supervision):
         """A slot whose respawns keep failing is parked by the circuit
         breaker; the cluster keeps serving on the surviving worker."""
         path, _ = bundle
-        with ServingCluster(path, workers=2, max_batch=2, max_wait_ms=0.5,
-                            supervise=True, supervise_interval_s=0.02,
-                            restart_backoff_s=0.02,
-                            restart_backoff_ceiling_s=0.1,
-                            max_crash_loop=2) as cluster:
+        supervision(supervise_interval_s=0.02, restart_backoff_s=0.02,
+                    restart_backoff_ceiling_s=0.1, max_crash_loop=2)
+        with ServingCluster(path, workers=2, max_batch=2,
+                            max_wait_ms=0.5) as cluster:
             cluster.predict(windows[0], timeout=60)
             victim = cluster._channels[0]
 
@@ -472,8 +473,7 @@ class TestSupervisedRecovery:
         def run_once():
             outcomes = []
             with ServingCluster(path, workers=1, max_batch=1,
-                                max_wait_ms=0.0, supervise=False,
-                                fault_plan=plan) as cluster:
+                                max_wait_ms=0.0, fault_plan=plan) as cluster:
                 for window in windows[:6]:
                     try:
                         result = cluster.predict(window, timeout=60)
@@ -494,7 +494,7 @@ class TestSupervisedRecovery:
         plan = FaultPlan(workers=2, seed=9, horizon=1, kills_per_worker=0,
                          corruptions_per_worker=1)
         with ServingCluster(path, workers=2, max_batch=1, max_wait_ms=0.0,
-                            supervise=False, fault_plan=plan) as cluster:
+                            fault_plan=plan) as cluster:
             outcomes = {"ok": 0, "corrupt": 0}
             before = cluster.health().redispatches
             # A burst deep enough that both workers pull some of it.
@@ -511,20 +511,23 @@ class TestSupervisedRecovery:
             assert outcomes == {"ok": len(windows) - 2, "corrupt": 2}
             assert cluster.health().redispatches == before
 
-    def test_timed_out_batch_is_never_requeued(self, bundle, windows):
+    def test_timed_out_batch_is_never_requeued(self, bundle, windows,
+                                               supervision):
         """A batch whose worker timed out may still execute: it fails with a
-        typed error and never goes back to the queue, even with a peer."""
+        typed error and never goes back to the queue, even with a peer.
+        ``max_crash_loop=1`` parks the timed-out slot on its first death."""
         path, _ = bundle
         plan = FaultPlan(workers=2, seed=0, horizon=1, kills_per_worker=0,
                          stalls_per_worker=1, stall_s=1.5)
+        supervision(request_timeout_s=0.5, max_crash_loop=1)
         with ServingCluster(path, workers=2, max_batch=1, max_wait_ms=0.0,
-                            request_timeout_s=0.5, supervise=False,
                             fault_plan=plan) as cluster:
             before = cluster.health().redispatches
             with pytest.raises(ClusterError, match="at-most-once"):
                 cluster.predict(windows[0], timeout=60)
             assert cluster.health().redispatches == before
             assert cluster.alive_workers == 1
+            assert _wait_for(lambda: cluster.parked_workers == 1)
 
     def test_stall_and_slow_faults_delay_but_serve(self, bundle, windows):
         path, _ = bundle
@@ -533,7 +536,7 @@ class TestSupervisedRecovery:
                          stall_s=0.2, slow_s=0.1)
         service = ForecastService.from_checkpoint(path)
         with ServingCluster(path, workers=1, max_batch=1, max_wait_ms=0.0,
-                            supervise=False, fault_plan=plan) as cluster:
+                            fault_plan=plan) as cluster:
             start = time.monotonic()
             for window in windows[:2]:
                 assert np.array_equal(
@@ -555,7 +558,7 @@ class TestSupervisedRecovery:
             created.append(self)
             original_init(self, *args, **kwargs)
 
-        def failing_wait(self, timeout_s):
+        def failing_wait(self):
             raise ClusterError(
                 f"worker {self.worker_id} injected startup failure"
             )
@@ -573,16 +576,45 @@ class TestSupervisedRecovery:
                 with pytest.raises(FileNotFoundError):
                     shared_memory.SharedMemory(name=shm.name)
 
-    def test_busy_worker_is_not_declared_dead(self, bundle, windows):
+    def test_failed_spawn_releases_the_half_built_channel(self, bundle,
+                                                          monkeypatch):
+        """A channel whose spawn fails is torn down by the same shutdown()
+        as a running one: both of its rings are unlinked."""
+        from multiprocessing import shared_memory
+
+        path, _ = bundle
+        created = []
+        original_init = cluster_mod._WorkerChannel.__init__
+
+        def spying_init(self, *args, **kwargs):
+            created.append(self)
+            original_init(self, *args, **kwargs)
+
+        def failing_spawn(self, fault_schedule=None):
+            raise OSError("injected spawn failure")
+
+        monkeypatch.setattr(cluster_mod._WorkerChannel, "__init__",
+                            spying_init)
+        monkeypatch.setattr(cluster_mod._WorkerChannel, "_spawn",
+                            failing_spawn)
+        with pytest.raises(OSError, match="injected spawn failure"):
+            ServingCluster(path, workers=2, max_batch=2)
+        assert len(created) == 1
+        for shm in (created[0].request_shm, created[0].response_shm):
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=shm.name)
+
+    def test_busy_worker_is_not_declared_dead(self, bundle, windows,
+                                              supervision):
         """Replies count as liveness: a worker kept busy by back-to-back
         requests never idles long enough to send a heartbeat, yet must not
         be killed for heartbeat staleness between batches."""
         path, _ = bundle
         ok, failed = [0, 0], []
-        with ServingCluster(path, workers=1, max_batch=2, max_wait_ms=1.0,
-                            heartbeat_interval_s=0.1, heartbeat_timeout_s=0.5,
-                            supervise=True,
-                            supervise_interval_s=0.05) as cluster:
+        supervision(heartbeat_interval_s=0.1, heartbeat_timeout_s=0.5,
+                    supervise_interval_s=0.05)
+        with ServingCluster(path, workers=1, max_batch=2,
+                            max_wait_ms=1.0) as cluster:
             stop_at = time.monotonic() + 3.0
 
             def client(slot):
@@ -606,12 +638,26 @@ class TestSupervisedRecovery:
         assert min(ok) > 0
         assert health.total_restarts == 0
 
+    def test_idle_worker_heartbeats_at_the_patched_interval(self, bundle,
+                                                            supervision):
+        """The heartbeat interval reaches the spawned worker as an argument:
+        a child that kept the module's 1 s default would miss a 0.5 s
+        staleness bound and be restarted."""
+        path, _ = bundle
+        supervision(heartbeat_interval_s=0.1, heartbeat_timeout_s=0.5,
+                    supervise_interval_s=0.05)
+        with ServingCluster(path, workers=1, max_batch=1) as cluster:
+            time.sleep(2.0)
+            health = cluster.health()
+        assert health.num_alive == 1
+        assert health.total_restarts == 0
+
     def test_health_snapshot_is_json_safe(self, bundle, windows):
         import json
 
         path, _ = bundle
-        with ServingCluster(path, workers=2, max_batch=2, max_wait_ms=1.0,
-                            supervise=False) as cluster:
+        with ServingCluster(path, workers=2, max_batch=2,
+                            max_wait_ms=1.0) as cluster:
             cluster.predict(windows[0], timeout=60)
             health = json.loads(json.dumps(cluster.health().to_dict()))
             assert health["num_workers"] == 2
@@ -619,15 +665,3 @@ class TestSupervisedRecovery:
             assert health["num_parked"] == 0
             assert len(health["workers"]) == 2
             assert all(w["state"] == "live" for w in health["workers"])
-
-    def test_supervisor_validation(self, bundle):
-        path, _ = bundle
-        with pytest.raises(ValueError, match="supervise_interval_s"):
-            ServingCluster(path, workers=1, supervise_interval_s=0.0)
-        with pytest.raises(ValueError, match="restart_backoff_s"):
-            ServingCluster(path, workers=1, restart_backoff_s=0.0)
-        with pytest.raises(ValueError, match="restart_backoff_s"):
-            ServingCluster(path, workers=1, restart_backoff_s=2.0,
-                           restart_backoff_ceiling_s=1.0)
-        with pytest.raises(ValueError, match="max_crash_loop"):
-            ServingCluster(path, workers=1, max_crash_loop=0)

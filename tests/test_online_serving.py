@@ -716,6 +716,25 @@ class TestOnlineCLI:
         assert forecasts.shape[1:] == (3, NODES, 1)
         assert forecasts.shape[0] >= 1
 
+    def test_online_cluster_forwards_the_memory_knobs(self, bundle_path,
+                                                      monkeypatch):
+        from repro.serve.cluster import ServingCluster
+
+        seen = {}
+        original_init = ServingCluster.__init__
+
+        def spying_init(self, *args, **kwargs):
+            seen.update(kwargs)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServingCluster, "__init__", spying_init)
+        assert serve_main([
+            str(bundle_path), "--online", "--steps", "8", "--workers", "2",
+            "--chunk-size", "4", "--memory-budget-mb", "64",
+        ]) == 0
+        assert seen["chunk_size"] == 4
+        assert seen["memory_budget_mb"] == 64.0
+
     def test_online_rejects_no_freeze(self, bundle_path, capsys):
         # the online path only ever serves the frozen graph: the flag is gone
         with pytest.raises(SystemExit) as exit_info:

@@ -461,8 +461,18 @@ class TestServeCLI:
         predictions = np.load(output)
         assert predictions.shape[0] == 6
 
-    def test_single_process_path_loads_the_bundle_once(self, trained, monkeypatch,
-                                                       capsys):
+    @pytest.mark.parametrize("mode, loads", [
+        ([], 1),
+        (["--workers", "2"], 1),
+        # online: the CLI reads the config and drift record, then
+        # SessionManager.from_checkpoint the bundle for its target...
+        (["--online", "--steps", "8"], 2),
+        # ...and a cluster target reads it once more for its ring geometry
+        (["--online", "--steps", "8", "--workers", "2"], 3),
+    ], ids=["single", "cluster", "online", "online-cluster"])
+    def test_bundle_loads_per_path(self, trained, monkeypatch, capsys, mode, loads):
+        import repro.serve.__main__ as main_module
+        import repro.serve.cluster as cluster_module
         import repro.serve.service as service_module
         import repro.utils.checkpoint as checkpoint_module
 
@@ -474,11 +484,12 @@ class TestServeCLI:
             calls.append(args)
             return load_bundle(*args, **kwargs)
 
-        monkeypatch.setattr(checkpoint_module, "load_bundle", counting_load_bundle)
-        monkeypatch.setattr(service_module, "load_bundle", counting_load_bundle)
-        assert serve_main([str(bundle_path), "--requests", "2"]) == 0
-        assert len(calls) == 1
-        assert f"loaded {bundle_path} in " in capsys.readouterr().out
+        # Counted in this process only: spawned workers load their own copy.
+        for module in (checkpoint_module, service_module, cluster_module, main_module):
+            monkeypatch.setattr(module, "load_bundle", counting_load_bundle)
+        assert serve_main([str(bundle_path), "--requests", "2", *mode]) == 0
+        assert len(calls) == loads
+        assert str(bundle_path) in capsys.readouterr().out
 
     def test_input_file_requests(self, trained, tmp_path, capsys):
         model, _, data, bundle_path = trained

@@ -15,6 +15,7 @@ non-destructive tests.
 """
 
 import asyncio
+import inspect
 import threading
 import time
 from itertools import combinations
@@ -154,16 +155,25 @@ class TestClusterServing:
         with pytest.raises(ValueError):
             ServingCluster(path, workers=0)
 
+    def test_constructor_takes_only_deployment_settings(self):
+        # timings live in cluster.SUPERVISION, not in the constructor
+        assert list(inspect.signature(ServingCluster).parameters) == [
+            "bundle_path", "workers", "max_batch", "max_wait_ms",
+            "max_pending", "chunk_size", "memory_budget_mb", "fault_plan",
+        ]
+
 
 class TestClusterFaults:
-    def test_worker_killed_mid_service_redispatches(self, bundle, windows):
+    def test_worker_killed_mid_service_redispatches(self, bundle, windows,
+                                                    supervision):
         """SIGKILL one of two workers, then serve a burst: every request
         must still resolve (dead-worker batches re-dispatch to the live
-        peer) and the cluster must record the death."""
+        peer) and the cluster must record the death, parking the slot
+        (``max_crash_loop=1``)."""
         path, _ = bundle
-        with ServingCluster(path, workers=2, max_batch=4, max_wait_ms=1.0,
-                            request_timeout_s=30.0,
-                            supervise=False) as cluster:
+        supervision(request_timeout_s=30.0, max_crash_loop=1)
+        with ServingCluster(path, workers=2, max_batch=4,
+                            max_wait_ms=1.0) as cluster:
             service = ForecastService.from_checkpoint(path)
             cluster.predict(windows[0], timeout=60)  # warm both ends
             cluster._channels[0].process.kill()
@@ -172,6 +182,10 @@ class TestClusterFaults:
             results = np.stack([future.result(timeout=60) for future in futures])
             assert np.allclose(results, service.predict(windows), atol=1e-9)
             assert cluster.alive_workers == 1
+            deadline = time.monotonic() + 30.0
+            while not cluster.parked_workers and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert cluster.parked_workers == 1
             # Later submits route straight to the survivor.
             assert np.array_equal(
                 cluster.predict(windows[0], timeout=60),
@@ -179,11 +193,12 @@ class TestClusterFaults:
             )
 
     def test_no_surviving_worker_fails_futures_descriptively(self, bundle,
-                                                             windows):
+                                                             windows,
+                                                             supervision):
         path, _ = bundle
-        with ServingCluster(path, workers=1, max_batch=4, max_wait_ms=1.0,
-                            request_timeout_s=30.0,
-                            supervise=False) as cluster:
+        supervision(request_timeout_s=30.0, max_crash_loop=1)
+        with ServingCluster(path, workers=1, max_batch=4,
+                            max_wait_ms=1.0) as cluster:
             cluster.predict(windows[0], timeout=60)
             cluster._channels[0].process.kill()
             cluster._channels[0].process.join(10.0)
@@ -193,6 +208,7 @@ class TestClusterFaults:
             # With the death recorded, submit itself now fails fast.
             with pytest.raises(ClusterError, match="no live workers"):
                 cluster.submit(windows[0])
+            assert cluster.parked_workers == 1
 
     def test_close_with_inflight_requests_resolves_everything(self, bundle,
                                                               windows):
@@ -390,3 +406,11 @@ class TestClusterCLI:
         path, _ = bundle
         with pytest.raises(SystemExit, match="--workers"):
             serve_main([str(path), "--workers", "0"])
+
+    @pytest.mark.parametrize("flag, value",
+                             [("--max-batch", "0"), ("--max-wait-ms", "-1")])
+    def test_invalid_batching_flag_is_not_reported_as_a_bundle_error(
+            self, bundle, flag, value):
+        path, _ = bundle
+        with pytest.raises(SystemExit, match=f"^{flag} must be"):
+            serve_main([str(path), "--workers", "2", flag, value])
