@@ -55,15 +55,16 @@ from repro.tensor import Tensor, concat
 from repro.utils.seed import spawn_rng
 
 # Scratch-buffer budget of the tiled scoring kernel: tiles are sized so one
-# (P, tile, M, h) hidden-activation block stays around this many bytes,
-# keeping the add/bias/relu/matmul chain in cache instead of streaming a
-# (P, N, M, h) tensor through main memory several times.  The constant also
-# defines the *canonical tile grid*: BLAS reductions are not bit-stable
-# across call shapes, so the chunked and unchunked paths stay byte-identical
-# only because both issue the exact same per-tile kernel calls — node blocks
-# are always rounded up to multiples of this grid, and the grid itself never
-# depends on the chunking knobs.
-_TILE_BYTES = 4 * 1024 * 1024
+# (P, tile, M, h) hidden-activation block stays around this many bytes, a
+# quarter of a 2 MiB per-core L2 (12 rows at P=8, M=40, h=32, float32), so
+# the add/bias/relu/matmul chain and its operands stay in L2 instead of
+# streaming a (P, N, M, h) tensor through main memory several times.  The
+# constant also defines the *canonical tile grid*: BLAS reductions are not
+# bit-stable across call shapes, so the chunked and unchunked paths stay
+# byte-identical only because both make the exact same per-tile kernel
+# calls — node blocks are always rounded up to multiples of this grid, and
+# the grid itself never depends on the chunking knobs.
+_TILE_BYTES = 512 * 1024
 
 
 def _tile_rows(heads: int, num_significant: int, hidden: int, itemsize: int,

@@ -18,9 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.synthetic.road_network import RoadNetwork, generate_road_network
+from repro.data.synthetic.road_network import (
+    RoadNetwork,
+    Transition,
+    generate_road_network,
+    latent_field,
+)
 from repro.data.timeseries import MultivariateTimeSeries
-from repro.graph import row_normalize
 from repro.utils.seed import spawn_rng
 
 
@@ -79,20 +83,12 @@ def generate_carpark_dataset(
     day_of_week = (minutes // (24 * 60)) % 7
     base_profile = _occupancy_profile(minute_of_day, day_of_week, is_business)
 
-    # Latent demand factor diffusing over the proximity graph, with graph-
-    # smoothed innovations so nearby car parks receive correlated demand shocks.
-    transition = row_normalize(network.adjacency)
-    smoothing = 0.4 * np.eye(n) + 0.4 * transition + 0.2 * (transition @ transition)
-    demand = np.zeros((t, n))
-    current = smoothing @ rng.normal(scale=config.demand_innovation, size=n)
-    innovations = rng.normal(scale=config.demand_innovation, size=(t, n)) @ smoothing.T
-    for step in range(t):
-        current = (
-            config.temporal_rho * current
-            + config.spatial_rho * (transition @ current)
-            + innovations[step]
-        )
-        demand[step] = current
+    # Latent demand factor diffusing over the proximity graph, so nearby car
+    # parks receive correlated demand shocks.
+    demand = latent_field(
+        Transition(network.adjacency), rng, t, config.demand_innovation,
+        config.temporal_rho, config.spatial_rho,
+    )
     demand = config.demand_scale * np.tanh(demand)
 
     base_occupancy = np.clip(rng.normal(0.35, 0.1, size=n), 0.05, 0.7)

@@ -19,13 +19,17 @@ what spatial-temporal GNNs exploit in the real datasets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.synthetic.road_network import RoadNetwork, generate_road_network
+from repro.data.synthetic.road_network import (
+    RoadNetwork,
+    Transition,
+    generate_road_network,
+    latent_field,
+)
 from repro.data.timeseries import MultivariateTimeSeries
-from repro.graph import row_normalize
 from repro.utils.seed import spawn_rng
 
 
@@ -82,7 +86,7 @@ def generate_traffic_dataset(
         raise ValueError("road network size does not match config.num_nodes")
 
     n, t = config.num_nodes, config.num_steps
-    transition = row_normalize(network.adjacency)
+    transition = Transition(network.adjacency)
 
     free_flow = rng.normal(config.free_flow_mean, config.free_flow_std, size=n)
     free_flow = np.clip(free_flow, 20.0, None)
@@ -93,28 +97,18 @@ def generate_traffic_dataset(
     day_of_week = (minutes // (24 * 60)) % 7
     rush = _rush_hour_profile(minute_of_day, day_of_week)
 
-    # Latent congestion field diffusing over the road network.  Innovations are
-    # smoothed over the graph so that neighbouring sensors receive correlated
-    # shocks, and the field evolves with both temporal persistence and
-    # neighbour coupling: congestion literally *travels* along the network.
-    smoothing = 0.4 * np.eye(n) + 0.4 * transition + 0.2 * (transition @ transition)
-    congestion = np.zeros((t, n))
-    current = smoothing @ rng.normal(scale=config.congestion_innovation, size=n)
-    innovations = rng.normal(scale=config.congestion_innovation, size=(t, n)) @ smoothing.T
-    for step in range(t):
-        current = (
-            config.temporal_rho * current
-            + config.spatial_rho * (transition @ current)
-            + innovations[step]
-        )
-        congestion[step] = current
+    # Latent congestion field diffusing over the road network: congestion
+    # literally *travels* along it.
+    congestion = latent_field(
+        transition, rng, t, config.congestion_innovation,
+        config.temporal_rho, config.spatial_rho,
+    )
     congestion = config.congestion_scale * np.tanh(congestion)
 
     # Incidents: localised congestion spikes that spread to graph neighbours.
     incident_effect = np.zeros((t, n))
     expected_incidents = config.incident_rate * t
     num_incidents = rng.poisson(expected_incidents) if expected_incidents > 0 else 0
-    neighbour_weights = row_normalize(network.adjacency)
     for _ in range(int(num_incidents)):
         start = int(rng.integers(0, max(1, t - config.incident_duration)))
         node = int(rng.integers(0, n))
@@ -125,7 +119,7 @@ def generate_traffic_dataset(
                 break
             decay = 1.0 - offset / config.incident_duration
             incident_effect[start + offset] += impact * decay
-            impact = 0.6 * impact + 0.4 * (neighbour_weights @ impact)
+            impact = 0.6 * impact + 0.4 * (transition @ impact)
 
     reduction = (
         config.rush_hour_depth * rush[:, None] * rush_sensitivity[None, :]

@@ -30,7 +30,9 @@ class MultivariateTimeSeries:
         Optional ground-truth ``(N, N)`` adjacency of the generating process;
         available for the synthetic datasets and consumed only by the
         predefined-graph baselines (DCRNN, STGCN) and the
-        "w/o SNS & SSMA" ablation — never by SAGDFN itself.
+        "w/o SNS & SSMA" ablation — never by SAGDFN itself.  Series derived
+        by :meth:`slice_steps` and :meth:`with_time_covariates` share it as
+        one read-only array; :meth:`select_nodes` copies its sub-matrix.
     """
 
     values: np.ndarray
@@ -68,6 +70,18 @@ class MultivariateTimeSeries:
 
     def __len__(self) -> int:
         return self.num_steps
+
+    def _shared_adjacency(self) -> np.ndarray | None:
+        """A read-only view of ``adjacency`` for a derived series.
+
+        The splits and loaders of one series then hold one ``(N, N)`` array
+        between them, and an in-place write through any of them raises.
+        """
+        if self.adjacency is None:
+            return None
+        shared = self.adjacency.view()
+        shared.setflags(write=False)
+        return shared
 
     # ------------------------------------------------------------------ #
     # Covariates
@@ -117,7 +131,7 @@ class MultivariateTimeSeries:
             start_minute=self.start_minute,
             node_ids=list(self.node_ids),
             name=self.name,
-            adjacency=None if self.adjacency is None else self.adjacency.copy(),
+            adjacency=self._shared_adjacency(),
         )
 
     # ------------------------------------------------------------------ #
@@ -131,7 +145,7 @@ class MultivariateTimeSeries:
             start_minute=self.start_minute + start * self.step_minutes,
             node_ids=list(self.node_ids),
             name=self.name,
-            adjacency=None if self.adjacency is None else self.adjacency.copy(),
+            adjacency=self._shared_adjacency(),
         )
 
     def select_nodes(self, indices: np.ndarray | list[int]) -> "MultivariateTimeSeries":

@@ -12,6 +12,7 @@ from repro.graph.adjacency import (
     degree_vector,
     gaussian_kernel_adjacency,
     knn_adjacency,
+    knn_neighbours,
     random_walk_matrix,
     row_normalize,
     scaled_laplacian,
@@ -35,6 +36,7 @@ __all__ = [
     "cheb_polynomials",
     "gaussian_kernel_adjacency",
     "knn_adjacency",
+    "knn_neighbours",
     "threshold_sparsify",
     "dense_diffusion",
     "slim_degree_vector",

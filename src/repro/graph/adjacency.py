@@ -89,18 +89,36 @@ def gaussian_kernel_adjacency(
     return weights
 
 
-def knn_adjacency(distances: np.ndarray, k: int, symmetric: bool = True) -> np.ndarray:
-    """Binary k-nearest-neighbour adjacency from a pairwise distance matrix."""
+# Rows per block of knn_neighbours' argsort: its scratch is this many rows
+# of distances and sort indices, not two more (N, N) arrays.
+_KNN_BLOCK_ROWS = 256
+
+
+def knn_neighbours(distances: np.ndarray, k: int) -> np.ndarray:
+    """``(N, k)`` indices of each node's ``k`` nearest other nodes, nearest first.
+
+    Each row is argsorted in full, so ties keep index order whatever the
+    row blocking.
+    """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    masked = distances.copy()
-    np.fill_diagonal(masked, np.inf)
-    neighbours = np.argsort(masked, axis=1)[:, :k]
-    adjacency = np.zeros_like(distances)
-    rows = np.repeat(np.arange(n), k)
-    adjacency[rows, neighbours.reshape(-1)] = 1.0
+    neighbours = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, _KNN_BLOCK_ROWS):
+        block = distances[start:start + _KNN_BLOCK_ROWS].copy()
+        rows = np.arange(len(block))
+        block[rows, start + rows] = np.inf
+        neighbours[start:start + len(block)] = np.argsort(block, axis=1)[:, :k]
+    return neighbours
+
+
+def knn_adjacency(distances: np.ndarray, k: int, symmetric: bool = True) -> np.ndarray:
+    """Binary k-nearest-neighbour adjacency from a pairwise distance matrix."""
+    neighbours = knn_neighbours(distances, k)
+    n = neighbours.shape[0]
+    adjacency = np.zeros((n, n))
+    adjacency[np.repeat(np.arange(n), k), neighbours.reshape(-1)] = 1.0
     if symmetric:
         adjacency = np.maximum(adjacency, adjacency.T)
     return adjacency

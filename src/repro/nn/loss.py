@@ -80,20 +80,22 @@ def masked_pinball(
             f"prediction has {prediction.shape[-1]} quantile channels, "
             f"expected {quantiles.size}"
         )
-    cleaned, mask = _masked_target(target, null_value)
+    cleaned, mask = _masked_target(target, null_value, prediction.dtype)
     diff = cleaned - prediction
     from repro.tensor import where
 
-    q = Tensor(quantiles)
+    q = Tensor(quantiles, dtype=prediction.dtype)
     per_entry = where(diff.data >= 0.0, q * diff, (q - 1.0) * diff)
-    return (per_entry * Tensor(mask)).mean()
+    return (per_entry * mask).mean()
 
 
-def _masked_target(target: Tensor, null_value: float | None) -> tuple[Tensor, np.ndarray]:
+def _masked_target(target: Tensor, null_value: float | None, dtype) -> tuple[Tensor, Tensor]:
     """Return the target with NaNs removed and the normalised inclusion mask.
 
     The mask is scaled so that multiplying element-wise and taking ``mean()``
-    averages only over the observed entries (the DCRNN convention).
+    averages only over the observed entries (the DCRNN convention).  Both
+    come back in ``dtype`` — the prediction's — so a float32 model's loss
+    stays float32 whatever the dtype policy.
     """
     if null_value is None:
         mask = np.ones_like(target.data)
@@ -103,23 +105,23 @@ def _masked_target(target: Tensor, null_value: float | None) -> tuple[Tensor, np
         mask = (~np.isclose(target.data, null_value)).astype(float)
     total = mask.mean()
     mask = np.zeros_like(mask) if total <= 0 else mask / total
-    cleaned = Tensor(np.nan_to_num(target.data, nan=0.0))
-    return cleaned, mask
+    cleaned = Tensor(np.nan_to_num(target.data, nan=0.0), dtype=dtype)
+    return cleaned, Tensor(mask, dtype=dtype)
 
 
 def masked_mae(prediction: Tensor, target: Tensor, null_value: float | None = 0.0) -> Tensor:
     """MAE over entries whose target differs from ``null_value``."""
     prediction, target = _as_tensor(prediction), _as_tensor(target)
-    cleaned, mask = _masked_target(target, null_value)
-    return ((prediction - cleaned).abs() * Tensor(mask)).mean()
+    cleaned, mask = _masked_target(target, null_value, prediction.dtype)
+    return ((prediction - cleaned).abs() * mask).mean()
 
 
 def masked_mse(prediction: Tensor, target: Tensor, null_value: float | None = 0.0) -> Tensor:
     """MSE over entries whose target differs from ``null_value``."""
     prediction, target = _as_tensor(prediction), _as_tensor(target)
-    cleaned, mask = _masked_target(target, null_value)
+    cleaned, mask = _masked_target(target, null_value, prediction.dtype)
     diff = prediction - cleaned
-    return (diff * diff * Tensor(mask)).mean()
+    return (diff * diff * mask).mean()
 
 
 def masked_rmse(prediction: Tensor, target: Tensor, null_value: float | None = 0.0) -> Tensor:
@@ -131,9 +133,9 @@ def masked_mape(prediction: Tensor, target: Tensor, null_value: float | None = 0
                 epsilon: float = 1e-5) -> Tensor:
     """MAPE over entries whose target differs from ``null_value``."""
     prediction, target = _as_tensor(prediction), _as_tensor(target)
-    cleaned, mask = _masked_target(target, null_value)
-    denominator = Tensor(np.maximum(np.abs(cleaned.data), epsilon))
-    return ((prediction - cleaned).abs() / denominator * Tensor(mask)).mean()
+    cleaned, mask = _masked_target(target, null_value, prediction.dtype)
+    denominator = Tensor(np.maximum(np.abs(cleaned.data), epsilon), dtype=prediction.dtype)
+    return ((prediction - cleaned).abs() / denominator * mask).mean()
 
 
 class L1Loss(Module):

@@ -76,6 +76,36 @@ class TestMultivariateTimeSeries:
         assert np.allclose(subset.adjacency, adjacency[np.ix_([0, 3], [0, 3])])
         assert subset.node_ids == ["node_0", "node_3"]
 
+    def test_derived_series_share_one_read_only_adjacency(self, rng):
+        adjacency = rng.random((5, 5))
+        series = MultivariateTimeSeries(rng.normal(size=(20, 5, 1)), adjacency=adjacency)
+        derived = [series.slice_steps(2, 12), series.with_time_covariates(),
+                   series.slice_steps(0, 10).with_time_covariates(include_day_of_week=True)]
+        for other in derived:
+            assert np.shares_memory(other.adjacency, adjacency)
+            assert np.array_equal(other.adjacency, adjacency)
+            with pytest.raises(ValueError):
+                other.adjacency[0, 1] = 2.0
+        assert series.adjacency.flags.writeable  # the caller's array is left alone
+        subset = series.select_nodes([0, 3])
+        assert not np.shares_memory(subset.adjacency, adjacency)
+        assert subset.adjacency.flags.writeable
+
+    def test_splits_and_loaders_share_the_series_adjacency(self, rng):
+        from repro.experiments.common import prepare_data_from_series
+
+        adjacency = rng.random((6, 6))
+        series = MultivariateTimeSeries(rng.normal(size=(80, 6, 1)), adjacency=adjacency)
+        data = prepare_data_from_series(series, 4, 4, batch_size=8)
+        loaders = (data.train_loader, data.val_loader, data.test_loader)
+        holders = [data.train, data.val, data.test]
+        holders += [loader.dataset.series for loader in loaders]
+        for holder in holders:
+            assert np.shares_memory(holder.adjacency, adjacency)
+            with pytest.raises(ValueError):
+                holder.adjacency[...] = 0.0
+        assert data.adjacency is adjacency
+
 
 class TestScalers:
     def test_standard_scaler_roundtrip(self, rng):

@@ -1,8 +1,16 @@
 """Tests for the synthetic road-network, traffic and car-park generators."""
 
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data.synthetic import (
     DATASET_REGISTRY,
     CarparkConfig,
@@ -12,7 +20,11 @@ from repro.data.synthetic import (
     generate_traffic_dataset,
     load_dataset,
 )
+from repro.data.synthetic.carpark import _occupancy_profile
+from repro.data.synthetic.traffic import _rush_hour_profile
+from repro.experiments.common import prepare_data_from_series
 from repro.graph import row_normalize
+from repro.utils.seed import spawn_rng
 
 
 class TestRoadNetwork:
@@ -43,6 +55,7 @@ class TestRoadNetwork:
             generate_road_network(1)
 
     def test_networkx_graph_matches_adjacency(self, tiny_network):
+        pytest.importorskip("networkx")
         assert tiny_network.graph.number_of_nodes() == 12
         for u, v in tiny_network.graph.edges():
             assert tiny_network.adjacency[u, v] > 0
@@ -150,3 +163,151 @@ class TestRegistry:
         first, _ = load_dataset("metr_la_like", num_nodes=10, num_steps=80, seed=4)
         second, _ = load_dataset("metr_la_like", num_nodes=10, num_steps=80, seed=4)
         assert np.allclose(first.values, second.values)
+
+
+# ---------------------------------------------------------------------- #
+# The dense formulation the sparse generators replaced, kept as a reference:
+# an (N, N, 2) delta tensor, a dense kNN matrix, the Gaussian kernel over all
+# pairs, T = row_normalize(A), the smoothing matrix 0.4 I + 0.4 T + 0.2 T @ T
+# and one dense mat-vec per step.
+# ---------------------------------------------------------------------- #
+def _dense_road_network(num_nodes, neighbours, seed):
+    rng = spawn_rng(seed)
+    clusters = min(max(4, num_nodes // 50), num_nodes)
+    centres = rng.random((clusters, 2))
+    assignment = rng.integers(0, clusters, size=num_nodes)
+    jitter = rng.normal(scale=0.06, size=(num_nodes, 2))
+    positions = np.clip(centres[assignment] + jitter, 0.0, 1.0)
+    deltas = positions[:, None, :] - positions[None, :, :]
+    distances = np.sqrt((deltas**2).sum(axis=-1))
+    k = min(neighbours, num_nodes - 1)
+    masked = distances.copy()
+    np.fill_diagonal(masked, np.inf)
+    knn = np.zeros_like(distances)
+    knn[np.repeat(np.arange(num_nodes), k), np.argsort(masked, axis=1)[:, :k].reshape(-1)] = 1.0
+    knn = np.maximum(knn, knn.T)
+    kernel = np.exp(-np.square(distances / (float(distances.std()) or 1.0)))
+    np.fill_diagonal(kernel, 0.0)
+    return distances, knn * kernel
+
+
+def _dense_latent_field(transition, rng, steps, innovation, temporal_rho, spatial_rho):
+    n = transition.shape[0]
+    smoothing = 0.4 * np.eye(n) + 0.4 * transition + 0.2 * (transition @ transition)
+    field = np.zeros((steps, n))
+    current = smoothing @ rng.normal(scale=innovation, size=n)
+    innovations = rng.normal(scale=innovation, size=(steps, n)) @ smoothing.T
+    for step in range(steps):
+        current = temporal_rho * current + spatial_rho * (transition @ current) + innovations[step]
+        field[step] = current
+    return field
+
+
+def _dense_traffic(c):
+    _, adjacency = _dense_road_network(c.num_nodes, c.neighbours, c.seed)
+    rng, n, t = spawn_rng(c.seed), c.num_nodes, c.num_steps
+    transition = row_normalize(adjacency)
+    free_flow = np.clip(rng.normal(c.free_flow_mean, c.free_flow_std, size=n), 20.0, None)
+    rush_sensitivity = np.clip(rng.normal(1.0, 0.25, size=n), 0.2, 2.0)
+    minutes = np.arange(t) * c.step_minutes
+    rush = _rush_hour_profile(minutes % (24 * 60), (minutes // (24 * 60)) % 7)
+    congestion = c.congestion_scale * np.tanh(_dense_latent_field(
+        transition, rng, t, c.congestion_innovation, c.temporal_rho, c.spatial_rho))
+    incident_effect = np.zeros((t, n))
+    for _ in range(int(rng.poisson(c.incident_rate * t))):
+        start = int(rng.integers(0, max(1, t - c.incident_duration)))
+        impact = np.zeros(n)
+        impact[int(rng.integers(0, n))] = c.incident_depth
+        for offset in range(min(c.incident_duration, t - start)):
+            incident_effect[start + offset] += impact * (1.0 - offset / c.incident_duration)
+            impact = 0.6 * impact + 0.4 * (transition @ impact)
+    reduction = np.clip(c.rush_hour_depth * rush[:, None] * rush_sensitivity[None, :]
+                        + congestion + incident_effect, 0.0, 0.95)
+    speeds = free_flow[None, :] * (1.0 - reduction)
+    speeds = np.clip(speeds + rng.normal(scale=c.noise_std, size=(t, n)), 0.0, None)
+    speeds = np.where(rng.random((t, n)) < c.missing_rate, 0.0, speeds)
+    return speeds, adjacency
+
+
+def _dense_carpark(c):
+    _, adjacency = _dense_road_network(c.num_nodes, c.neighbours, c.seed)
+    rng, n, t = spawn_rng(c.seed), c.num_nodes, c.num_steps
+    capacities = rng.integers(c.capacity_low, c.capacity_high + 1, size=n).astype(float)
+    is_business = rng.random(n) < c.business_fraction
+    minutes = np.arange(t) * c.step_minutes
+    profile = _occupancy_profile(minutes % (24 * 60), (minutes // (24 * 60)) % 7, is_business)
+    demand = c.demand_scale * np.tanh(_dense_latent_field(
+        row_normalize(adjacency), rng, t, c.demand_innovation, c.temporal_rho, c.spatial_rho))
+    base = np.clip(rng.normal(0.35, 0.1, size=n), 0.05, 0.7)
+    occupancy = np.clip(base[None, :] + c.demand_depth * profile + demand, 0.02, 0.98)
+    available = capacities[None, :] * (1.0 - occupancy) + rng.normal(scale=c.noise_std,
+                                                                      size=(t, n))
+    return np.clip(np.round(available), 0.0, capacities[None, :]), adjacency
+
+
+class TestSparseMatchesDenseReference:
+    @pytest.mark.parametrize("num_nodes,seed", [(40, 0), (41, 5)])
+    def test_road_network(self, num_nodes, seed):
+        distances, adjacency = _dense_road_network(num_nodes, 6, seed)
+        network = generate_road_network(num_nodes, neighbours=6, seed=seed)
+        assert np.array_equal(network.distances, distances)
+        assert np.array_equal(network.adjacency, adjacency)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_traffic(self, seed):
+        config = TrafficConfig(num_nodes=40, num_steps=300, seed=seed, incident_rate=0.05)
+        speeds, adjacency = _dense_traffic(config)
+        series = generate_traffic_dataset(config)
+        assert np.array_equal(series.adjacency, adjacency)
+        np.testing.assert_allclose(series.values[..., 0], speeds, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_carpark(self, seed):
+        config = CarparkConfig(num_nodes=40, num_steps=300, seed=seed)
+        available, adjacency = _dense_carpark(config)
+        series = generate_carpark_dataset(config)
+        assert np.array_equal(series.adjacency, adjacency)
+        np.testing.assert_allclose(series.values[..., 0], available, rtol=1e-12, atol=0.0)
+
+
+class TestGenerationMemory:
+    """At N=1000 the data path holds the one (N, N) adjacency, not copies of it."""
+
+    N = 1000
+    UNIT = N * N * 8  # one dense (N, N) float64
+
+    @pytest.mark.parametrize("kind", ["traffic", "carpark"])
+    def test_generation_peak_and_retained_memory(self, kind):
+        generate, config = {
+            "traffic": (generate_traffic_dataset, TrafficConfig),
+            "carpark": (generate_carpark_dataset, CarparkConfig),
+        }[kind]
+        generate(config(num_nodes=20, num_steps=30))  # first-call allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            series = generate(config(num_nodes=self.N, num_steps=60, seed=1))
+            generation_peak = tracemalloc.get_traced_memory()[1]
+            data = prepare_data_from_series(series, 6, 6, batch_size=4)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert data.train.adjacency is not None
+        assert generation_peak <= 4 * self.UNIT, generation_peak / self.UNIT
+        assert retained <= 1.5 * self.UNIT, retained / self.UNIT
+
+
+def test_generation_does_not_need_networkx():
+    """Only ``RoadNetwork.graph`` imports networkx."""
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "from repro.data.synthetic import load_dataset\n"
+        "series, _ = load_dataset('metr_la_like', num_nodes=12, num_steps=60)\n"
+        "assert series.adjacency.shape == (12, 12)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr

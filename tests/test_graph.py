@@ -12,6 +12,7 @@ from repro.graph import (
     dense_diffusion,
     gaussian_kernel_adjacency,
     knn_adjacency,
+    knn_neighbours,
     random_walk_matrix,
     row_normalize,
     scaled_laplacian,
@@ -94,6 +95,20 @@ class TestAdjacencyUtilities:
         assert np.all(knn.sum(axis=1) == 3)
         symmetric = knn_adjacency(distances, k=3, symmetric=True)
         assert np.allclose(symmetric, symmetric.T)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 256])
+    def test_knn_neighbours_are_the_full_argsort_in_any_row_blocks(self, monkeypatch,
+                                                                    block_rows):
+        from repro.graph import adjacency as adjacency_module
+
+        monkeypatch.setattr(adjacency_module, "_KNN_BLOCK_ROWS", block_rows)
+        # An integer grid has many tied distances, so this pins the tie order too.
+        grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
+        distances = np.abs(grid[:, None, :] - grid[None, :, :]).sum(axis=-1)
+        masked = distances.copy()
+        np.fill_diagonal(masked, np.inf)
+        expected = np.argsort(masked, axis=1)[:, :5]
+        assert np.array_equal(knn_neighbours(distances, 5), expected)
 
     def test_knn_invalid_k(self, rng):
         with pytest.raises(ValueError):

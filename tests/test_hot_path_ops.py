@@ -222,6 +222,11 @@ class TestTilePlanning:
         else:
             assert rows == 1  # one row always fits, whatever the budget
 
+    def test_perf_config_tile_fits_a_quarter_of_l2(self):
+        # P=8 heads, M=40, h=32, float32: 40 KiB rows, 12 to a 512 KiB tile.
+        assert _TILE_BYTES == 512 * 1024
+        assert _tile_rows(8, 40, 32, 4) == 12
+
 
 def _scoring_inputs(rng, num_nodes=14, num_significant=5):
     attention = SparseSpatialMultiHeadAttention(embedding_dim=6, num_heads=3, ffn_hidden=5,

@@ -9,6 +9,7 @@ from repro.nn import (
     l1_loss,
     masked_mae,
     masked_mape,
+    masked_pinball,
     masked_mse,
     masked_rmse,
     mse_loss,
@@ -84,3 +85,25 @@ class TestMaskedLosses:
         masked_mae(prediction, target, null_value=0.0).backward()
         assert prediction.grad[0, 0] != 0.0
         assert prediction.grad[0, 1] == pytest.approx(0.0)
+
+
+class TestLossDtype:
+    """Masked losses run in the prediction's dtype, whatever the dtype policy."""
+
+    @pytest.mark.parametrize("loss", [
+        masked_mae, masked_mse, masked_rmse, masked_mape,
+        lambda p, t: masked_pinball(p, t, (0.5,)),
+    ], ids=["mae", "mse", "rmse", "mape", "pinball"])
+    def test_float32_in_gives_float32_out(self, rng, loss):
+        target = rng.normal(size=(3, 4, 1))
+        target[0, 0, 0] = 0.0  # one masked entry
+        prediction = rng.normal(size=(3, 4, 1))
+        reference = loss(Tensor(prediction), Tensor(target))  # float64 policy
+        prediction32 = Tensor(prediction.astype(np.float32), requires_grad=True,
+                              dtype=np.float32)
+        value = loss(prediction32, target.astype(np.float32))
+        assert reference.dtype == np.float64
+        assert value.dtype == np.float32
+        assert value.item() == pytest.approx(reference.item(), rel=1e-5)
+        value.backward()
+        assert prediction32.grad.dtype == np.float32
