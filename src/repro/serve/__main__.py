@@ -136,9 +136,6 @@ def _load_windows(args, window_shape: tuple, mask_input: bool) -> np.ndarray:
                 "(input_dim + exog_dim + mask)"
             )
         return windows
-    # The scenario-aware request width: endogenous channels, declared
-    # exogenous covariates, plus the observation-mask channel of mask-aware
-    # models.
     windows = np.random.default_rng(args.seed).normal(
         size=(args.requests,) + tuple(window_shape)
     )
@@ -147,8 +144,10 @@ def _load_windows(args, window_shape: tuple, mask_input: bool) -> np.ndarray:
     return windows
 
 
-def _report(num_served: int, predictions: np.ndarray, elapsed: float,
+def _report(results: list, prediction_shape: tuple, elapsed: float,
             stats, output: Path | None) -> None:
+    num_served = len(results)
+    predictions = np.stack(results) if results else np.empty((0, *prediction_shape))
     throughput = num_served / elapsed if elapsed > 0 else float("inf")
     print(
         f"served {num_served} requests in {elapsed * 1000.0:.1f} ms "
@@ -227,11 +226,7 @@ def _serve_cluster(args) -> int:
         elapsed = time.perf_counter() - serve_start
         stats = cluster.stats
         health = cluster.health()
-    predictions = (
-        np.stack(results) if results
-        else np.empty((0,) + tuple(cluster.prediction_shape))
-    )
-    _report(len(results), predictions, elapsed, stats, args.output)
+    _report(results, cluster.prediction_shape, elapsed, stats, args.output)
     status = _report_admission(args, rejected, shed, failed)
     print(
         f"health: {health.num_alive}/{health.num_workers} workers live, "
@@ -244,7 +239,7 @@ def _serve_cluster(args) -> int:
 # --------------------------------------------------------------------- #
 # Online (stateful) serving
 # --------------------------------------------------------------------- #
-def _synthetic_stream(config: dict, steps: int, seed: int) -> np.ndarray:
+def _synthetic_stream(num_nodes: int, width: int, steps: int, seed: int) -> np.ndarray:
     """A (T, N, width) original-units stream with a mid-stream regime change.
 
     The first half follows one set of node phase offsets, the second half a
@@ -252,8 +247,6 @@ def _synthetic_stream(config: dict, steps: int, seed: int) -> np.ndarray:
     drift the monitor's re-sampling should notice.
     """
     rng = np.random.default_rng(seed)
-    num_nodes = int(config["num_nodes"])
-    width = int(config["input_dim"]) + int(config.get("exog_dim", 0) or 0)
     t = np.arange(steps)[:, None]
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_nodes)
     values = 50.0 + 10.0 * np.sin(0.3 * t + phases) + rng.normal(0.0, 1.0, (steps, num_nodes))
@@ -271,20 +264,19 @@ def _synthetic_stream(config: dict, steps: int, seed: int) -> np.ndarray:
     return stream
 
 
-def _load_stream(args, config: dict) -> tuple[np.ndarray, np.ndarray | None]:
+def _load_stream(args, manager) -> tuple[np.ndarray, np.ndarray | None]:
     """Returns ``(stream (T, N, width), mask (T, N) | None)`` in original units."""
-    width = int(config["input_dim"]) + int(config.get("exog_dim", 0) or 0)
-    mask_input = bool(config.get("mask_input", False))
+    num_nodes, width, mask_input = manager.num_nodes, manager.width, manager.mask_input
     if args.stream is None:
-        return _synthetic_stream(config, args.steps, args.seed), None
+        return _synthetic_stream(num_nodes, width, args.steps, args.seed), None
     with _one_line_errors("--stream file", args.stream):
         raw = np.load(args.stream)
     if raw.ndim == 2:
         raw = raw[..., None]
-    if raw.ndim != 3 or raw.shape[1] != int(config["num_nodes"]):
+    if raw.ndim != 3 or raw.shape[1] != num_nodes:
         raise SystemExit(
-            f"error: --stream must be (T, {config['num_nodes']}) or "
-            f"(T, {config['num_nodes']}, C), got {raw.shape}"
+            f"error: --stream must be (T, {num_nodes}) or "
+            f"(T, {num_nodes}, C), got {raw.shape}"
         )
     mask = None
     if raw.shape[-1] == width + 1 and mask_input:
@@ -300,56 +292,52 @@ def _load_stream(args, config: dict) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _serve_online(args) -> int:
-    from repro.serve.online import DriftConfig, SessionManager
+    from repro.serve.online import SessionManager
 
     if args.sessions < 1:
         raise SystemExit("--sessions must be >= 1")
     if args.forecast_every < 1:
         raise SystemExit("--forecast-every must be >= 1")
-    with _one_line_errors("checkpoint bundle", args.checkpoint):
-        bundle = load_bundle(args.checkpoint)
-    if not bundle.config:
-        raise SystemExit("bundle has no model config; --online cannot size sessions")
-    stream, mask = _load_stream(args, bundle.config)
-
-    drift_record = dict(bundle.drift) if bundle.drift else {}
-    if args.drift_threshold is not None:
-        drift_record["overlap_threshold"] = args.drift_threshold
-    if args.drift_check_every is not None:
-        drift_record["check_every"] = args.drift_check_every
-    if args.drift_min_history is not None:
-        drift_record["min_history"] = args.drift_min_history
-    drift = DriftConfig(**drift_record) if drift_record else None
+    if args.update_scaler and args.workers > 1:
+        raise SystemExit("error: --update-scaler needs --workers 1: cluster workers "
+                         "un-scale forecasts with the bundle's frozen scaler")
+    # The flags override the bundle's recorded drift config key by key.
+    drift = {key: value for key, value in (
+        ("overlap_threshold", args.drift_threshold),
+        ("check_every", args.drift_check_every),
+        ("min_history", args.drift_min_history),
+    ) if value is not None}
 
     load_start = time.perf_counter()
     try:
-        manager = SessionManager.from_checkpoint(
-            args.checkpoint,
-            workers=0 if args.workers == 1 else args.workers,
-            drift=drift,
-            update_scaler=args.update_scaler,
-            chunk_size=args.chunk_size,
-            memory_budget_mb=args.memory_budget_mb,
-            **(
-                {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms}
-                if args.workers > 1 else {}
-            ),
-        )
-    except (RuntimeError, ValueError) as error:
+        with _one_line_errors("checkpoint bundle", args.checkpoint):
+            manager = SessionManager.from_checkpoint(
+                args.checkpoint,
+                workers=0 if args.workers == 1 else args.workers,
+                drift=drift,
+                update_scaler=args.update_scaler,
+                chunk_size=args.chunk_size,
+                memory_budget_mb=args.memory_budget_mb,
+                **(
+                    {"max_batch": args.max_batch, "max_wait_ms": args.max_wait_ms}
+                    if args.workers > 1 else {}
+                ),
+            )
+    except RuntimeError as error:  # a ClusterError: the pool did not start
         raise SystemExit(f"error: cannot start online serving: {error}")
     load_ms = (time.perf_counter() - load_start) * 1000.0
     mode = f"{args.workers}-worker cluster" if args.workers > 1 else "single process"
     print(f"online serving on {args.checkpoint} ({mode}), loaded in {load_ms:.1f} ms")
 
     clients = [f"session-{i}" for i in range(args.sessions)]
-    width = manager.width
     forecasts: list[np.ndarray] = []
     checks = swaps = 0
-    serve_start = time.perf_counter()
     try:
+        stream, mask = _load_stream(args, manager)
+        serve_start = time.perf_counter()
         for step in range(stream.shape[0]):
             values = stream[step, :, 0][None]
-            covariates = stream[step, :, 1:][None] if width > 1 else None
+            covariates = stream[step, :, 1:][None] if manager.width > 1 else None
             step_mask = None if mask is None else mask[step][None]
             for client in clients:
                 report = manager.push_observations(
@@ -411,11 +399,7 @@ def main(argv=None) -> int:
     load_ms = (time.perf_counter() - load_start) * 1000.0
     print(f"loaded {args.checkpoint} in {load_ms:.1f} ms")
 
-    config = service.config
-    windows = _load_windows(
-        args, (config["history"], config["num_nodes"], service.expected_channels),
-        service.mask_input,
-    )
+    windows = _load_windows(args, service.window_shape, service.mask_input)
     serve_start = time.perf_counter()
     with MicroBatcher.for_service(service, max_batch=args.max_batch,
                                   max_wait_ms=args.max_wait_ms,
@@ -424,8 +408,7 @@ def main(argv=None) -> int:
             batcher.submit, windows, args.deadline_s
         )
     elapsed = time.perf_counter() - serve_start
-    predictions = np.stack(results) if results else np.empty((0,))
-    _report(len(results), predictions, elapsed, batcher.stats, args.output)
+    _report(results, service.prediction_shape, elapsed, batcher.stats, args.output)
     return _report_admission(args, rejected, shed, failed)
 
 

@@ -82,9 +82,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import SAGDFNConfig
 from repro.serve.batching import AdmissionQueue, BatchStats
 from repro.serve.faults import FaultInjector, FaultPlan, corrupt_ring_slot
-from repro.utils.checkpoint import load_bundle
+from repro.serve.service import ForecastService, request_shapes
+from repro.utils.checkpoint import load_bundle, rehydrate_scaler
 
 # BLAS pools are capped per worker *before* the child imports numpy: a
 # replica that grabs every core starves its peers and flattens the scaling
@@ -120,8 +122,9 @@ class Supervision:
     An idle worker heartbeats every ``heartbeat_interval_s`` (also how often
     an orphaned worker checks that its parent still exists) and is declared
     dead once its last heartbeat is older than ``heartbeat_timeout_s``.  The
-    supervisor polls every ``supervise_interval_s``; the n-th consecutive
-    failure of a slot waits ``restart_backoff_s * 2**(n-1)``, capped at
+    supervisor polls every ``supervise_interval_s``.  A slot's first
+    consecutive failure is respawned at once, since one death is not a crash
+    loop; the n-th (n ≥ 2) waits ``restart_backoff_s * 2**(n-2)``, capped at
     ``restart_backoff_ceiling_s``, before the respawn.  After
     ``max_crash_loop`` consecutive failures, each within
     ``rapid_fail_window_s`` of its spawn, the slot is parked: no further
@@ -230,32 +233,19 @@ class ClusterHealth:
                 "workers": [worker.to_dict() for worker in self.workers]}
 
 
-def _geometry(config: dict, dtype: str) -> tuple[tuple, tuple, np.dtype]:
-    """Window/prediction shapes and dtype of one request, from a bundle config.
+def _ring_geometry(bundle) -> tuple[tuple, tuple, np.dtype]:
+    """Window/prediction shapes and dtype of one request, read off a bundle.
 
-    The parent sizes both shared-memory rings from the config alone —
-    workers are spawned only after the rings exist, so their names can be
-    handed over at start-up.
+    The parent sizes both shared-memory rings with it before any worker
+    exists, and each worker views them through the same call on the bundle
+    it rehydrates.
     """
-    try:
-        history = int(config["history"])
-        num_nodes = int(config["num_nodes"])
-        horizon = int(config["horizon"])
-        input_dim = int(config["input_dim"])
-    except (KeyError, TypeError) as error:
+    if bundle.model_type != "SAGDFN":
         raise ClusterError(
-            "bundle config is missing the request-geometry fields "
-            "(history/num_nodes/horizon/input_dim); cluster workers cannot "
-            "size their shared-memory rings"
-        ) from error
-    output_dim = int(config.get("output_dim", 1) or 1)
-    exog_dim = int(config.get("exog_dim", 0) or 0)
-    mask_channel = int(bool(config.get("mask_input", False)))
-    quantiles = config.get("quantiles")
-    num_quantiles = len(quantiles) if quantiles else 1
-    window_shape = (history, num_nodes, input_dim + exog_dim + mask_channel)
-    prediction_shape = (horizon, num_nodes, output_dim * num_quantiles)
-    return window_shape, prediction_shape, np.dtype(dtype)
+            f"cannot serve a {bundle.model_type or 'untyped'} bundle: "
+            "cluster workers serve SAGDFN bundles only"
+        )
+    return (*request_shapes(SAGDFNConfig(**bundle.config)), np.dtype(bundle.dtype))
 
 
 def _ring_view(shm: shared_memory.SharedMemory, max_batch: int,
@@ -266,21 +256,19 @@ def _ring_view(shm: shared_memory.SharedMemory, max_batch: int,
 
 
 def _create_ring(max_batch: int, shape: tuple,
-                 dtype: np.dtype) -> shared_memory.SharedMemory:
+                 dtype: np.dtype) -> tuple[shared_memory.SharedMemory, np.ndarray]:
+    """A fresh parent-owned ring and its array view."""
     size = _RING_SLOTS * max_batch * int(np.prod(shape)) * dtype.itemsize
-    return shared_memory.SharedMemory(create=True, size=max(1, size))
+    shm = shared_memory.SharedMemory(create=True, size=max(1, size))
+    return shm, _ring_view(shm, max_batch, shape, dtype)
 
 
 def _worker_main(
-    worker_id: int,
     bundle_path: str,
     conn,
     request_name: str,
     response_name: str,
     max_batch: int,
-    window_shape: tuple,
-    prediction_shape: tuple,
-    dtype_str: str,
     heartbeat_interval_s: float,
     service_kwargs: dict,
     fault_schedule: dict | None = None,
@@ -299,13 +287,13 @@ def _worker_main(
     """
     request_shm = response_shm = None
     try:
-        from repro.serve.service import ForecastService
-
-        service = ForecastService.from_checkpoint(bundle_path, **service_kwargs)
+        # The parent verified this file's digest; the replica need not re-hash it.
+        bundle = load_bundle(bundle_path, verify_digest=False)
+        service = ForecastService.from_bundle(bundle, **service_kwargs)
         # Pin the steady-state workspace: the batcher's max_batch is the
         # size every saturated batch arrives at.
         service.pin_batch_size(max_batch)
-        dtype = np.dtype(dtype_str)
+        window_shape, prediction_shape, dtype = _ring_geometry(bundle)
         # Attach-only: ownership (and the unlink) stays with the parent.
         # The resource tracker is shared with the parent under spawn, so
         # the child must neither unlink nor unregister the rings.
@@ -396,8 +384,7 @@ class _WorkerChannel:
     """Parent-side handle of one worker: rings, control pipe, liveness."""
 
     def __init__(self, worker_id: int, bundle_path: str, max_batch: int,
-                 window_shape: tuple, prediction_shape: tuple, dtype: np.dtype,
-                 supervision: Supervision, service_kwargs: dict,
+                 geometry: tuple, supervision: Supervision, service_kwargs: dict,
                  fault_schedule: dict | None = None):
         self.worker_id = worker_id
         self.max_batch = max_batch
@@ -412,9 +399,6 @@ class _WorkerChannel:
         self.trace = None
         # Spawn parameters kept for supervised respawn.
         self._bundle_path = str(bundle_path)
-        self._window_shape = tuple(window_shape)
-        self._prediction_shape = tuple(prediction_shape)
-        self._dtype = dtype
         self._service_kwargs = service_kwargs
         # Supervisor bookkeeping (owned by the cluster's supervisor thread).
         self.restarts = 0
@@ -430,13 +414,12 @@ class _WorkerChannel:
         self.request_shm = self.response_shm = None
         self.conn = None
         self.process = None
+        window_shape, prediction_shape, dtype = geometry
         try:
-            self.request_shm = _create_ring(max_batch, window_shape, dtype)
-            self.response_shm = _create_ring(max_batch, prediction_shape, dtype)
-            self.request_view = _ring_view(self.request_shm, max_batch,
-                                           window_shape, dtype)
-            self.response_view = _ring_view(self.response_shm, max_batch,
-                                            prediction_shape, dtype)
+            self.request_shm, self.request_view = _create_ring(
+                max_batch, window_shape, dtype)
+            self.response_shm, self.response_view = _create_ring(
+                max_batch, prediction_shape, dtype)
             self._spawn(fault_schedule)
         except Exception:
             self.shutdown()
@@ -451,10 +434,8 @@ class _WorkerChannel:
         self.process = ctx.Process(
             target=_worker_main,
             name=f"repro-serve-worker-{self.worker_id}",
-            args=(self.worker_id, self._bundle_path, child_conn,
-                  self.request_shm.name, self.response_shm.name,
-                  self.max_batch, self._window_shape,
-                  self._prediction_shape, self._dtype.str,
+            args=(self._bundle_path, child_conn, self.request_shm.name,
+                  self.response_shm.name, self.max_batch,
                   self.supervision.heartbeat_interval_s, self._service_kwargs,
                   fault_schedule),
             daemon=True,
@@ -753,8 +734,7 @@ class ServingCluster:
         :class:`~repro.serve.batching.Overloaded` while this many requests
         wait for a puller.  ``None`` keeps the queue unbounded.
     chunk_size / memory_budget_mb:
-        Forwarded to every worker's
-        :meth:`ForecastService.from_checkpoint`.
+        Forwarded to every worker's :class:`ForecastService`.
     fault_plan:
         A :class:`~repro.serve.faults.FaultPlan` scheduling deterministic
         worker kills/stalls/corruption/slow batches for chaos testing.
@@ -790,13 +770,14 @@ class ServingCluster:
             )
         self.bundle_path = Path(bundle_path)
         bundle = load_bundle(self.bundle_path)
-        window_shape, prediction_shape, dtype = _geometry(
-            bundle.config, bundle.dtype
-        )
-        self.window_shape = window_shape
-        self.prediction_shape = prediction_shape
-        self.mask_input = bool(bundle.config.get("mask_input", False))
-        self.expected_channels = int(window_shape[-1])
+        geometry = _ring_geometry(bundle)
+        self.window_shape, self.prediction_shape, _ = geometry
+        self.expected_channels = self.window_shape[-1]
+        # What the bundle says, for callers that need it without a re-read.
+        self.config = bundle.config
+        self.scaler = rehydrate_scaler(bundle)
+        self.drift = bundle.drift
+        self.mask_input = bool(self.config.get("mask_input", False))
         self.index_set = (
             None
             if bundle.index_set is None
@@ -807,13 +788,7 @@ class ServingCluster:
         self.supervision = SUPERVISION
         self.fault_plan = fault_plan
 
-        service_kwargs = {
-            "chunk_size": chunk_size,
-            "memory_budget_mb": memory_budget_mb,
-            # The parent verified the bundle digest just above; workers
-            # rehydrating the same file need not re-hash it.
-            "verify_digest": False,
-        }
+        service_kwargs = {"chunk_size": chunk_size, "memory_budget_mb": memory_budget_mb}
         self._queue = AdmissionQueue(
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
@@ -839,8 +814,7 @@ class ServingCluster:
                 )
                 self._channels.append(
                     _WorkerChannel(
-                        worker_id, str(self.bundle_path), max_batch,
-                        window_shape, prediction_shape, dtype,
+                        worker_id, str(self.bundle_path), max_batch, geometry,
                         self.supervision, service_kwargs, schedule,
                     )
                 )
@@ -942,8 +916,9 @@ class ServingCluster:
             channel.next_restart_at = None
             self._notify_pool()
             return
-        delay = min(
-            supervision.restart_backoff_s * 2 ** (channel.consecutive_failures - 1),
+        # One death is not a crash loop: the first respawn goes at once.
+        delay = 0.0 if channel.consecutive_failures == 1 else min(
+            supervision.restart_backoff_s * 2 ** (channel.consecutive_failures - 2),
             supervision.restart_backoff_ceiling_s,
         )
         channel.next_restart_at = now + delay
@@ -982,8 +957,7 @@ class ServingCluster:
                     now = time.monotonic()
                     if channel.next_restart_at is None:
                         self._register_failure(channel, now)
-                        continue
-                    if now < channel.next_restart_at:
+                    if channel.parked or now < channel.next_restart_at:
                         continue
                     try:
                         self._respawn_channel(channel)

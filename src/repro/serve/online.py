@@ -40,6 +40,14 @@ import numpy as np
 
 from repro.core.sampling import SignificantNeighborsSampling, index_set_overlap
 from repro.evaluation.streaming import StreamingMetrics
+from repro.serve.cluster import ServingCluster
+from repro.serve.service import ForecastService
+from repro.utils.checkpoint import load_bundle
+
+_CLUSTER_SCALER_ERROR = (
+    "update_scaler needs a single-process target: cluster workers un-scale "
+    "forecasts with the bundle's frozen scaler statistics"
+)
 
 
 @dataclass
@@ -448,23 +456,19 @@ class SessionManager:
     ----------
     target:
         A :class:`~repro.serve.ForecastService` or
-        :class:`~repro.serve.ServingCluster` (anything exposing the
-        single-window predict contract and, for drift, ``swap_index_set`` /
-        ``generation``).
-    config:
-        The model/bundle config dict (``history``, ``horizon``,
-        ``num_nodes``, channel fields, SNS fields).
-    scaler:
-        The shared target scaler sessions normalise through.  With a
-        single-process service this should be *the service's own scaler*
-        so incremental updates propagate to the inverse transform.
+        :class:`~repro.serve.ServingCluster`.  The manager reads the model
+        config, the scaler sessions normalise through, the request shapes
+        and the frozen index set off it.
     drift:
         A :class:`DriftConfig` (or its dict form, e.g. from a bundle's
         ``drift`` record) enabling the drift monitor; ``None`` disables it.
     update_scaler:
-        When ``True``, every push also ``partial_fit``\\ s the shared scaler
-        (mask-aware), so normalisation tracks the live feed.  Off by
+        When ``True``, every push also ``partial_fit``\\ s the target's
+        scaler (mask-aware), so normalisation tracks the live feed.  Off by
         default: a moving scaler trades bit-reproducibility for freshness.
+        Single-process only: a :class:`~repro.serve.ServingCluster`'s
+        workers un-scale with the bundle's statistics, so a cluster target
+        raises ``ValueError``.
     null_value:
         Missing-value convention of the live accuracy metrics.
     max_sessions:
@@ -484,8 +488,6 @@ class SessionManager:
     def __init__(
         self,
         target,
-        config: dict,
-        scaler=None,
         drift: DriftConfig | dict | None = None,
         update_scaler: bool = False,
         null_value: float | None = 0.0,
@@ -497,31 +499,35 @@ class SessionManager:
             raise ValueError("max_sessions must be >= 1")
         if session_ttl_s is not None and session_ttl_s <= 0:
             raise ValueError("session_ttl_s must be > 0")
+        if update_scaler and isinstance(target, ServingCluster):
+            raise ValueError(_CLUSTER_SCALER_ERROR)
         self.target = target
-        self.config = dict(config)
-        self.scaler = scaler
+        # Both forecast one (h, N, C) window: the cluster through predict.
+        self._predict_window = (
+            target.predict if isinstance(target, ServingCluster) else target.predict_one
+        )
+        self.config = dict(target.config)
+        self.scaler = target.scaler
         self.update_scaler = bool(update_scaler)
         self.null_value = null_value
-        self.history = int(self.config["history"])
-        self.horizon = int(self.config["horizon"])
-        self.num_nodes = int(self.config["num_nodes"])
-        self.mask_input = bool(self.config.get("mask_input", False))
-        self.exog_dim = int(self.config.get("exog_dim", 0) or 0)
-        self.width = int(self.config.get("input_dim", 1)) + self.exog_dim
+        self.history, self.num_nodes, channels = target.window_shape
+        self.horizon = target.prediction_shape[0]
+        self.mask_input = bool(target.mask_input)
+        # Sessions push every window channel except the mask, which they track.
+        self.width = channels - int(self.mask_input)
         quantiles = self.config.get("quantiles")
         self.quantiles = None if quantiles is None else tuple(float(q) for q in quantiles)
         if isinstance(drift, dict):
             drift = DriftConfig(**drift)
         self.monitor: DriftMonitor | None = None
         if drift is not None:
-            frozen = self._target_index_set(target)
-            if frozen is None:
+            if target.index_set is None:
                 raise ValueError(
                     "drift monitoring requires a frozen-graph target with an "
                     "index set to compare against"
                 )
             self.monitor = DriftMonitor.from_model_config(
-                target, self.config, frozen, config=drift
+                target, self.config, target.index_set, config=drift
             )
         # Insertion order doubles as the LRU order: a touched session is
         # re-inserted at the end, so the first key is always the coldest.
@@ -536,16 +542,6 @@ class SessionManager:
             null_value=null_value, quantiles=self.quantiles
         )
 
-    @staticmethod
-    def _target_index_set(target) -> np.ndarray | None:
-        frozen = getattr(target, "frozen", None)
-        if frozen is not None and getattr(frozen, "index_set", None) is not None:
-            return np.asarray(frozen.index_set, dtype=np.int64)
-        index_set = getattr(target, "index_set", None)
-        if index_set is not None:
-            return np.asarray(index_set, dtype=np.int64)
-        return None
-
     @classmethod
     def from_checkpoint(
         cls,
@@ -558,33 +554,29 @@ class SessionManager:
         session_ttl_s: float | None = None,
         **target_kwargs,
     ) -> "SessionManager":
-        """Build a manager (and its target) straight from a serving bundle.
+        """Build a manager (and its target) from one read of a serving bundle.
 
         ``workers == 0`` serves through a single-process
         :class:`~repro.serve.ForecastService`; ``workers >= 1`` through a
-        :class:`~repro.serve.ServingCluster`.  ``drift`` defaults to the
-        bundle's recorded ``drift`` record (a bundle saved without one
-        disables monitoring).
+        :class:`~repro.serve.ServingCluster`, which refuses
+        ``update_scaler`` before any worker spawns.  The monitor starts from
+        the bundle's recorded ``drift`` record: a dict overrides only the
+        keys it names, a :class:`DriftConfig` replaces the record, and no
+        record and no ``drift`` disable monitoring.
         """
-        from repro.utils.checkpoint import load_bundle, rehydrate_scaler
-
-        bundle = load_bundle(path)
-        if drift is None and bundle.drift is not None:
-            drift = dict(bundle.drift)
         if workers:
-            from repro.serve.cluster import ServingCluster
-
+            if update_scaler:
+                raise ValueError(_CLUSTER_SCALER_ERROR)
             target = ServingCluster(path, workers=workers, **target_kwargs)
-            scaler = rehydrate_scaler(bundle)
+            recorded = target.drift
         else:
-            from repro.serve.service import ForecastService
-
+            bundle = load_bundle(path)
             target = ForecastService.from_bundle(bundle, **target_kwargs)
-            scaler = target.scaler
+            recorded = bundle.drift
+        if not isinstance(drift, DriftConfig):
+            drift = {**(recorded or {}), **(drift or {})} or None
         return cls(
             target,
-            bundle.config,
-            scaler=scaler,
             drift=drift,
             update_scaler=update_scaler,
             null_value=null_value,
@@ -595,12 +587,6 @@ class SessionManager:
     # ------------------------------------------------------------------ #
     # Session plumbing
     # ------------------------------------------------------------------ #
-    def _predict_window(self, window: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        target = self.target
-        if hasattr(target, "predict_one"):
-            return target.predict_one(window, mask=mask)
-        return target.predict(window, mask=mask)
-
     def _evict_locked(self, client_id: str) -> None:
         """Drop one session, merging its scored metrics first (lock held)."""
         session = self._sessions.pop(client_id)
@@ -682,12 +668,9 @@ class SessionManager:
         """
         session = self.session(client_id)
         if self.update_scaler and self.scaler is not None:
-            sample_mask = None
-            if mask is not None:
-                sample_mask = np.asarray(mask)
-                values_arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
-                sample_mask = sample_mask.reshape(values_arr.shape)
-            self.scaler.partial_fit(np.atleast_2d(values), sample_mask=sample_mask)
+            rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
+            sample_mask = None if mask is None else np.asarray(mask).reshape(rows.shape)
+            self.scaler.partial_fit(rows, sample_mask=sample_mask)
         normalised = session.push(values, covariates=covariates, mask=mask)
         if self.monitor is not None:
             self.monitor.observe(normalised)

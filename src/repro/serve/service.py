@@ -8,11 +8,20 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import SAGDFNConfig
 from repro.core.model import SAGDFN
 from repro.core.serving_kernel import FrozenRecurrenceKernel
 from repro.data.scalers import StandardScaler
 from repro.tensor import no_grad
 from repro.utils.checkpoint import load_bundle, rehydrate_model, rehydrate_scaler
+
+
+def request_shapes(config: SAGDFNConfig) -> tuple[tuple, tuple]:
+    """The ``(h, N, C)`` window and ``(f, N, output_dim·Q)`` prediction of one request."""
+    return (
+        (config.history, config.num_nodes, config.encoder_input_width),
+        (config.horizon, config.num_nodes, config.output_dim * config.num_quantiles),
+    )
 
 
 @dataclass
@@ -115,10 +124,11 @@ class ForecastService:
         self.scaler = scaler
         self._apply_memory_knobs(model, chunk_size, memory_budget_mb)
         self.config = asdict(model.config)
-        quantiles = model.config.quantiles
-        self.quantiles = None if quantiles is None else tuple(float(q) for q in quantiles)
+        self.quantiles = model.config.quantiles
         self.mask_input = bool(model.config.mask_input)
-        self.exog_dim = int(model.config.exog_dim)
+        self.window_shape, self.prediction_shape = request_shapes(model.config)
+        # The width MicroBatcher validates at submit time, mask channel included.
+        self.expected_channels = self.window_shape[-1]
         model.eval()
 
         self._pinned_batches: set[int] = set()
@@ -201,15 +211,9 @@ class ForecastService:
             return self._state.generation
 
     @property
-    def expected_channels(self) -> int:
-        """Total per-window channel width :meth:`predict` expects.
-
-        Endogenous channels plus declared exogenous covariates plus the
-        observation-mask channel of mask-aware models — the width the data
-        layer produces and the width :class:`~repro.serve.MicroBatcher`
-        validates at submit time.
-        """
-        return int(self.model.config.input_dim) + self.exog_dim + int(self.mask_input)
+    def index_set(self) -> np.ndarray | None:
+        """The current generation's frozen index set (``None`` for dense supports)."""
+        return self._state.frozen.index_set
 
     def pin_batch_size(self, batch: int) -> None:
         """Preallocate and pin the serving-kernel workspace for ``batch``.
@@ -259,7 +263,6 @@ class ForecastService:
         path: str | Path,
         chunk_size: int | None = None,
         memory_budget_mb: float | None = None,
-        verify_digest: bool = True,
     ) -> "ForecastService":
         """Rehydrate a service from a serving bundle written by ``save_bundle``.
 
@@ -267,12 +270,8 @@ class ForecastService:
         statistics and the SNS sampler state all come out of the archive.
         ``chunk_size`` / ``memory_budget_mb`` override the bundled model's
         large-N memory knobs for this host (see :class:`ForecastService`).
-        ``verify_digest=False`` skips the bundle's SHA-256 payload check
-        (see :func:`repro.utils.load_bundle`) — the serving cluster uses it
-        for workers whose parent already verified the same file.
         """
-        return cls.from_bundle(load_bundle(path, verify_digest=verify_digest),
-                               chunk_size, memory_budget_mb)
+        return cls.from_bundle(load_bundle(path), chunk_size, memory_budget_mb)
 
     @classmethod
     def from_bundle(cls, bundle, chunk_size: int | None = None,

@@ -190,8 +190,8 @@ class CheckpointBundle:
         Online-serving drift-monitor configuration (the
         :class:`repro.serve.online.DriftConfig` fields) recorded when the
         bundle was written with ``save_bundle(..., drift=...)``, or ``None``.
-        ``SessionManager.from_checkpoint`` uses it as the default monitor
-        configuration.
+        ``SessionManager.from_checkpoint`` starts its monitor from it; a
+        ``drift`` dict passed there overrides the keys it names.
     metadata:
         Free-form user metadata.
     version:

@@ -17,6 +17,7 @@ Three layers of guarantees:
 
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -431,6 +432,38 @@ class TestSupervisedRecovery:
             future = cluster.submit(windows[0])
             assert np.array_equal(future.result(timeout=120), ref_fresh)
             assert cluster._channels[0].restarts == 1
+
+    def test_first_respawn_does_not_wait_the_backoff(self, bundle, windows,
+                                                     supervision):
+        """One death is not a crash loop: with a 30 s backoff, a killed
+        worker is live again long before the backoff would have elapsed."""
+        path, _ = bundle
+        supervision(supervise_interval_s=0.05, restart_backoff_s=30.0,
+                    restart_backoff_ceiling_s=60.0)
+        with ServingCluster(path, workers=1, max_batch=1,
+                            max_wait_ms=0.0) as cluster:
+            channel = cluster._channels[0]
+            killed_at = time.monotonic()
+            channel.process.kill()
+            assert _wait_for(lambda: channel.restarts == 1 and channel.alive,
+                             timeout_s=20.0)
+            assert time.monotonic() - killed_at < 20.0
+            assert cluster.predict(windows[0], timeout=60).shape[0] == 3
+
+    def test_backoff_ladder_starts_at_the_second_failure(self, supervision):
+        supervision(restart_backoff_s=0.5, restart_backoff_ceiling_s=1.5,
+                    max_crash_loop=5)
+        cluster = types.SimpleNamespace(supervision=cluster_mod.SUPERVISION,
+                                        _notify_pool=lambda: None)
+        channel = types.SimpleNamespace(started_at=None, consecutive_failures=0,
+                                        parked=False, next_restart_at=None)
+        delays = []
+        for _ in range(4):
+            ServingCluster._register_failure(cluster, channel, 100.0)
+            delays.append(channel.next_restart_at - 100.0)
+        assert delays == [0.0, 0.5, 1.0, 1.5]
+        ServingCluster._register_failure(cluster, channel, 100.0)
+        assert channel.parked and channel.next_restart_at is None
 
     def test_crash_loop_parks_worker_and_pool_degrades(self, bundle,
                                                        windows, supervision):

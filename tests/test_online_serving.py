@@ -15,6 +15,8 @@ Covers the three cross-layer guarantees of the online stack:
   drift monitor's overlap/cooldown state machine drives the swap.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,71 @@ class TestSessionManager:
         manager.push_observations("c", np.abs(rng.normal(5.0, 2.0, size=(2, NODES))))
         assert manager.scaler.count_ == count_before + 2 * NODES
 
+    def test_constructor_takes_only_the_target_and_session_settings(self):
+        # config and scaler come off the target, which read the bundle
+        assert list(inspect.signature(SessionManager).parameters) == [
+            "target", "drift", "update_scaler", "null_value",
+            "max_sessions", "session_ttl_s", "clock",
+        ]
+
+    def test_reads_config_scaler_and_index_set_off_the_target(self, bundle_path):
+        service = ForecastService.from_checkpoint(bundle_path)
+        manager = SessionManager(service, drift=DriftConfig(min_history=8))
+        assert manager.config == service.config
+        assert manager.scaler is service.scaler
+        assert manager.width == service.expected_channels == 1
+        assert np.array_equal(manager.monitor.frozen_index_set, service.index_set)
+
+    def test_drift_dict_overrides_only_the_keys_it_names(self, bundle_path):
+        manager = SessionManager.from_checkpoint(
+            bundle_path, drift={"overlap_threshold": 0.9})
+        config = manager.monitor.config
+        assert config.overlap_threshold == 0.9
+        # the rest is the bundle's record, not the DriftConfig defaults
+        assert (config.min_history, config.check_every, config.history_window) == (8, 8, 16)
+
+    def test_drift_config_replaces_the_bundle_record(self, bundle_path):
+        manager = SessionManager.from_checkpoint(
+            bundle_path, drift=DriftConfig(overlap_threshold=0.9))
+        assert manager.monitor.config == DriftConfig(overlap_threshold=0.9)
+
+    def test_bundle_is_read_once_per_target_kind(self, bundle_path, monkeypatch):
+        import repro.serve.cluster as cluster_module
+        import repro.serve.online as online_module
+
+        calls = []
+        real_load = online_module.load_bundle
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return real_load(*args, **kwargs)
+
+        for module in (online_module, cluster_module):
+            monkeypatch.setattr(module, "load_bundle", counting_load)
+        SessionManager.from_checkpoint(bundle_path)
+        assert len(calls) == 1
+        manager = SessionManager.from_checkpoint(bundle_path, workers=1, max_batch=1)
+        try:
+            assert len(calls) == 2  # workers load their own copy
+            assert manager.monitor.config.check_every == 8  # the bundle's record
+            assert manager.scaler.mean_ == load_bundle(bundle_path).scaler_state["mean"]
+        finally:
+            manager.target.close()
+
+    def test_update_scaler_over_a_cluster_is_refused_before_spawning(
+            self, bundle_path, monkeypatch):
+        # workers un-scale with the bundle's statistics, not the manager's
+        from repro.serve.cluster import ServingCluster
+
+        def no_spawn(self, *args, **kwargs):
+            raise AssertionError("a cluster was started")
+
+        monkeypatch.setattr(ServingCluster, "__init__", no_spawn)
+        with pytest.raises(ValueError, match="update_scaler"):
+            SessionManager.from_checkpoint(bundle_path, workers=2, update_scaler=True)
+        with pytest.raises(ValueError, match="update_scaler"):
+            SessionManager(ServingCluster.__new__(ServingCluster), update_scaler=True)
+
 
 class _FakeClock:
     """Deterministic monotonic time source for TTL/LRU tests."""
@@ -512,9 +579,7 @@ class TestSessionEviction:
 
     def _manager(self, bundle_path, clock, **kwargs):
         service = ForecastService.from_checkpoint(bundle_path)
-        bundle = load_bundle(bundle_path)
-        return SessionManager(service, bundle.config, scaler=service.scaler,
-                              clock=clock, **kwargs)
+        return SessionManager(service, clock=clock, **kwargs)
 
     def test_lru_eviction_caps_registry(self, bundle_path):
         clock = _FakeClock()
@@ -636,6 +701,11 @@ class TestStreamingMetricsMerge:
         a.merge(b)  # must not raise
 
 
+# The online paths read the bundle inside SessionManager.from_checkpoint.
+SERVE_MODES = [[], ["--online"], ["--online", "--workers", "2"]]
+SERVE_MODE_IDS = ["one-shot", "online", "online-cluster"]
+
+
 class TestServeCLIErrors:
     """The serve entry point must fail with a one-line error, not a traceback."""
 
@@ -644,18 +714,20 @@ class TestServeCLIErrors:
         model = _frozen_model()
         return save_bundle(model, tmp_path / "cli")
 
-    def test_missing_bundle_exits_with_one_line_error(self, tmp_path):
+    @pytest.mark.parametrize("mode", SERVE_MODES, ids=SERVE_MODE_IDS)
+    def test_missing_bundle_exits_with_one_line_error(self, tmp_path, mode):
         missing = tmp_path / "nope.npz"
         with pytest.raises(SystemExit) as excinfo:
-            serve_main([str(missing)])
+            serve_main([str(missing), *mode])
         message = str(excinfo.value)
         assert message == f"error: checkpoint bundle not found: {missing}"
 
-    def test_corrupt_bundle_exits_with_one_line_error(self, tmp_path):
+    @pytest.mark.parametrize("mode", SERVE_MODES, ids=SERVE_MODE_IDS)
+    def test_corrupt_bundle_exits_with_one_line_error(self, tmp_path, mode):
         corrupt = tmp_path / "corrupt.npz"
         corrupt.write_bytes(b"this is not a numpy archive")
         with pytest.raises(SystemExit) as excinfo:
-            serve_main([str(corrupt)])
+            serve_main([str(corrupt), *mode])
         message = str(excinfo.value)
         assert message.startswith(f"error: cannot load checkpoint bundle {corrupt}")
         assert "\n" not in message
@@ -734,6 +806,39 @@ class TestOnlineCLI:
         ]) == 0
         assert seen["chunk_size"] == 4
         assert seen["memory_budget_mb"] == 64.0
+
+    def test_online_cluster_refuses_update_scaler_before_spawning(
+            self, bundle_path, monkeypatch):
+        from repro.serve.cluster import ServingCluster
+
+        def no_spawn(self, *args, **kwargs):
+            raise AssertionError("a cluster was started")
+
+        monkeypatch.setattr(ServingCluster, "__init__", no_spawn)
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main([str(bundle_path), "--online", "--workers", "2",
+                        "--update-scaler"])
+        message = str(excinfo.value)
+        assert message.startswith("error: --update-scaler") and "\n" not in message
+
+    def test_rejected_stream_closes_the_cluster(self, bundle_path, tmp_path,
+                                                monkeypatch):
+        from repro.serve.cluster import ServingCluster
+
+        live_after_close = []
+        original_close = ServingCluster.close
+
+        def spying_close(self):
+            original_close(self)
+            live_after_close.append(self.alive_workers)
+
+        monkeypatch.setattr(ServingCluster, "close", spying_close)
+        wrong = tmp_path / "wrong_stream.npy"
+        np.save(wrong, np.ones((16, NODES + 1)))
+        with pytest.raises(SystemExit, match="--stream must be"):
+            serve_main([str(bundle_path), "--online", "--workers", "2",
+                        "--stream", str(wrong)])
+        assert live_after_close[:1] == [0]
 
     def test_online_rejects_no_freeze(self, bundle_path, capsys):
         # the online path only ever serves the frozen graph: the flag is gone

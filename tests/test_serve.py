@@ -85,7 +85,7 @@ class TestForecastService:
         init = inspect.signature(ForecastService.__init__).parameters
         assert list(init) == ["self", "model", "scaler", "chunk_size", "memory_budget_mb"]
         load = inspect.signature(ForecastService.from_checkpoint).parameters
-        assert list(load) == ["path", "chunk_size", "memory_budget_mb", "verify_digest"]
+        assert list(load) == ["path", "chunk_size", "memory_budget_mb"]
 
     def test_config_is_the_models_config(self, trained):
         model, _, data, bundle_path = trained
@@ -461,18 +461,18 @@ class TestServeCLI:
         predictions = np.load(output)
         assert predictions.shape[0] == 6
 
+    # Every path reads the bundle once: the online CLI takes the config and
+    # drift record off the manager's target, which read it.
     @pytest.mark.parametrize("mode, loads", [
         ([], 1),
         (["--workers", "2"], 1),
-        # online: the CLI reads the config and drift record, then
-        # SessionManager.from_checkpoint the bundle for its target...
-        (["--online", "--steps", "8"], 2),
-        # ...and a cluster target reads it once more for its ring geometry
-        (["--online", "--steps", "8", "--workers", "2"], 3),
+        (["--online", "--steps", "8"], 1),
+        (["--online", "--steps", "8", "--workers", "2"], 1),
     ], ids=["single", "cluster", "online", "online-cluster"])
     def test_bundle_loads_per_path(self, trained, monkeypatch, capsys, mode, loads):
         import repro.serve.__main__ as main_module
         import repro.serve.cluster as cluster_module
+        import repro.serve.online as online_module
         import repro.serve.service as service_module
         import repro.utils.checkpoint as checkpoint_module
 
@@ -485,7 +485,8 @@ class TestServeCLI:
             return load_bundle(*args, **kwargs)
 
         # Counted in this process only: spawned workers load their own copy.
-        for module in (checkpoint_module, service_module, cluster_module, main_module):
+        for module in (checkpoint_module, service_module, cluster_module,
+                       online_module, main_module):
             monkeypatch.setattr(module, "load_bundle", counting_load_bundle)
         assert serve_main([str(bundle_path), "--requests", "2", *mode]) == 0
         assert len(calls) == loads

@@ -155,6 +155,31 @@ class TestClusterServing:
         with pytest.raises(ValueError):
             ServingCluster(path, workers=0)
 
+    def test_keeps_what_the_bundle_said(self, cluster4, bundle):
+        path, config = bundle
+        record = load_bundle(path)
+        assert cluster4.config == record.config
+        assert cluster4.scaler is None and cluster4.drift is None
+        assert np.array_equal(cluster4.index_set, record.index_set)
+        assert cluster4.window_shape == (config.history, config.num_nodes,
+                                         config.encoder_input_width)
+        assert cluster4.prediction_shape == (config.horizon, config.num_nodes, 1)
+
+    def test_non_sagdfn_bundle_fails_before_any_worker_spawns(
+            self, tmp_path, monkeypatch):
+        from repro.baselines import build_baseline
+        from repro.serve import cluster as cluster_module
+
+        path = save_bundle(build_baseline("GRU", 5, 2, 4, 3, hidden_size=8),
+                           tmp_path / "gru")
+
+        def no_spawn(self, *args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(cluster_module._WorkerChannel, "__init__", no_spawn)
+        with pytest.raises(ClusterError, match="SAGDFN"):
+            ServingCluster(path, workers=1)
+
     def test_constructor_takes_only_deployment_settings(self):
         # timings live in cluster.SUPERVISION, not in the constructor
         assert list(inspect.signature(ServingCluster).parameters) == [
