@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gconv import OneStepFastGConvCell, as_index_array
+from repro.core.gconv import OneStepFastGConvCell, _Graph, _step_graph
 from repro.nn.module import Module
 from repro.tensor import Tensor, stack
 from repro.utils.seed import spawn_rng
@@ -135,14 +135,14 @@ class SAGDFNEncoderDecoder(Module):
         x: Tensor,
         hiddens: list[Tensor],
         adjacency: Tensor,
-        index_set: np.ndarray | None,
-        degree_scale: Tensor | None = None,
+        graph: _Graph,
+        degree_scale: Tensor | None,
     ) -> tuple[list[Tensor], Tensor]:
         """Push one time step through the stacked cells."""
         new_hiddens: list[Tensor] = []
         current = x
         for cell, hidden in zip(cells, hiddens):
-            current, prediction = cell(current, hidden, adjacency, index_set, degree_scale)
+            current, prediction = cell._step(current, hidden, adjacency, graph, degree_scale)
             new_hiddens.append(current)
         return new_hiddens, prediction
 
@@ -164,12 +164,12 @@ class SAGDFNEncoderDecoder(Module):
         if history.ndim != 4:
             raise ValueError(f"history must be (batch, steps, nodes, channels), got {history.shape}")
         batch, steps, num_nodes, _ = history.shape
-        index_set = as_index_array(index_set)
+        graph = _step_graph(adjacency, index_set, degree_scale)
 
         encoder_hiddens = [cell.initial_state(batch, num_nodes) for cell in self.encoder_cells]
         for t in range(steps):
             encoder_hiddens, _ = self._run_stack(
-                self.encoder_cells, history[:, t], encoder_hiddens, adjacency, index_set,
+                self.encoder_cells, history[:, t], encoder_hiddens, adjacency, graph,
                 degree_scale,
             )
 
@@ -178,7 +178,7 @@ class SAGDFNEncoderDecoder(Module):
         predictions: list[Tensor] = []
         for step in range(self.horizon):
             decoder_hiddens, prediction = self._run_stack(
-                self.decoder_cells, decoder_input, decoder_hiddens, adjacency, index_set,
+                self.decoder_cells, decoder_input, decoder_hiddens, adjacency, graph,
                 degree_scale,
             )
             predictions.append(prediction)

@@ -29,10 +29,13 @@ so a batch costs ``B`` batch-1 gemms whatever the BLAS threading: one
 the elementwise passes that read their rows.
 
 Training records a step as one graph node (:func:`_cell_step_op`) that keeps
-the stacks and the gates, and whose hand-written backward returns the
-gradients of ``x``, ``hidden``, the adjacency (through ``(D + I)^{-1}`` too,
-unless a precomputed scale is passed) and every weight.  The serving kernel
-(:mod:`repro.core.serving_kernel`) runs the same step without a tape.
+only the gates.  Its hand-written backward rebuilds both diffused stacks from
+its parents ``x`` and ``hidden`` with the forward's own calls (so gradients do
+not change by a bit), then returns the gradients of ``x``, ``hidden``, the
+adjacency (through ``(D + I)^{-1}`` too, unless a precomputed scale is
+passed) and every weight.  An encoder–decoder forward builds one
+:class:`_Graph` (``Aᵀ`` and the scale) for all of its steps.  The serving
+kernel (:mod:`repro.core.serving_kernel`) runs the same step without a tape.
 """
 
 from __future__ import annotations
@@ -156,6 +159,17 @@ class _Graph:
         return scale_grad
 
 
+def _step_graph(adjacency: Tensor, index_set: np.ndarray | None,
+                degree_scale: Tensor | None) -> _Graph:
+    """The :class:`_Graph` of a forward: ``degree_scale`` or ``1 / (rowsum + 1)``."""
+    data = adjacency.data
+    if degree_scale is None:
+        scale = 1.0 / (data.sum(axis=-1) + 1.0)
+    else:
+        scale = degree_scale.data.reshape(-1)
+    return _Graph(data, as_index_array(index_set), scale)
+
+
 class _CellWeights:
     """One cell's weights for the two gemms of :func:`_cell_step_`.
 
@@ -211,43 +225,49 @@ def _cell_step_(weights: _CellWeights, graph: _Graph, stack: np.ndarray,
 
 
 def _cell_step_op(cell: "OneStepFastGConvCell", x: Tensor, hidden: Tensor,
-                  adjacency: Tensor, index_set: np.ndarray | None,
-                  degree_scale: Tensor | None) -> Tensor:
+                  adjacency: Tensor, graph: _Graph, degree_scale: Tensor | None) -> Tensor:
     """The new hidden state ``(B, N, H)`` of one Eq. 10 step, as one graph node.
 
-    Parents: ``x``, ``hidden``, ``adjacency``, ``degree_scale`` (if given)
-    and the cell's gate and candidate hops and biases.
+    ``graph`` is :func:`_step_graph` of ``adjacency``, ``index_set`` and
+    ``degree_scale``.  Parents: ``x``, ``hidden``, ``adjacency``,
+    ``degree_scale`` (if given) and the cell's gate and candidate hops and
+    biases.  The node keeps the gates; its backward rebuilds the stacks.
     """
     weights = _CellWeights(cell)
     in_dim, h, hops = weights.input_dim, weights.hidden_dim, weights.hops
     width = in_dim + h
     batch, num_nodes = x.shape[0], x.shape[1]
     dtype = np.result_type(x.data, hidden.data, adjacency.data, weights.gates)
-    adjacency_data = adjacency.data
-    if degree_scale is None:
-        scale = 1.0 / (adjacency_data.sum(axis=-1) + 1.0)
-    else:
-        scale = degree_scale.data.reshape(-1)
-    graph = _Graph(adjacency_data, index_set, scale)
 
-    stack = np.empty((hops * width + 1, batch, num_nodes), dtype)
-    stack[:in_dim] = x.data.transpose(2, 0, 1)
-    stack[in_dim:width] = hidden.data.transpose(2, 0, 1)
-    stack[-1] = 1.0
-    r_stack = np.empty((hops * h, batch, num_nodes), dtype)
+    def input_stack():
+        """``[x; h; …; 1]`` with the hop blocks unfilled."""
+        stack = np.empty((hops * width + 1, batch, num_nodes), dtype)
+        stack[:in_dim] = x.data.transpose(2, 0, 1)
+        stack[in_dim:width] = hidden.data.transpose(2, 0, 1)
+        stack[-1] = 1.0
+        return stack
+
     gates = np.empty((3 * h, batch, num_nodes), dtype)
     out = np.empty((h, batch, num_nodes), dtype)
-    _cell_step_(weights, graph, stack, r_stack, gates, out, np.empty_like(out))
+    _cell_step_(weights, graph, input_stack(), np.empty((hops * h, batch, num_nodes), dtype),
+                gates, out, np.empty_like(out))
 
     gate_params = [*cell.gates.hop_weights, cell.gates.bias]
     cand_params = [*cell.candidate.hop_weights, cell.candidate.bias]
     parents = [x, hidden, adjacency] + ([] if degree_scale is None else [degree_scale])
 
     def backward(grad):
+        reset, update, candidate = gates[:h], gates[h : 2 * h], gates[2 * h :]
+        # The forward's stacks, rebuilt by the same calls (bitwise equal).
+        stack = input_stack()
+        graph.diffuse_(stack, width, hops)
+        old_hidden = stack[in_dim:width]
+        r_stack = np.empty((hops * h, batch, num_nodes), dtype)
+        np.multiply(reset, old_hidden, out=r_stack[:h])
+        graph.diffuse_(r_stack, h, hops)
+
         # Feature-major; a copy only when the gradient arrives batch-major.
         grad_out = np.ascontiguousarray(grad.transpose(2, 0, 1))
-        old_hidden = stack[in_dim:width]
-        reset, update, candidate = gates[:h], gates[h : 2 * h], gates[2 * h :]
         grad_gates = np.empty_like(gates)
         grad_hidden = grad_out * update
         # Pre-activations: candidate g (1 - u)(1 - c²), update g (h - c) u (1 - u).
@@ -259,7 +279,7 @@ def _cell_step_op(cell: "OneStepFastGConvCell", x: Tensor, hidden: Tensor,
         grad_update *= grad_hidden
         grad_update *= 1.0 - update
 
-        grad_adjacency = np.zeros_like(adjacency_data) if adjacency.requires_grad else None
+        grad_adjacency = np.zeros_like(graph.adjacency) if adjacency.requires_grad else None
         # Unlike the forward, one (·, B·N) gemm each: per-window backward gemms
         # were no faster at N = 2000 on one BLAS thread and slower on two.
         flat = batch * num_nodes
@@ -283,9 +303,9 @@ def _cell_step_op(cell: "OneStepFastGConvCell", x: Tensor, hidden: Tensor,
         grad_scale = None
         if degree_scale is None:
             if grad_adjacency is not None:  # through scale = 1 / (rowsum + 1)
-                grad_adjacency -= (scale_grad * scale)[:, None]
+                grad_adjacency -= (scale_grad * graph.scale)[:, None]
         else:
-            grad_scale = (scale_grad / scale).reshape(degree_scale.shape)
+            grad_scale = (scale_grad / graph.scale).reshape(degree_scale.shape)
 
         grad_weights = grad_gates_flat @ stack.reshape(len(stack), flat).T
         grad_cand_h = grad_cand_flat @ r_stack.reshape(hops * h, flat).T
@@ -401,9 +421,14 @@ class OneStepFastGConvCell(Module):
         supplies ``(D + I)^{-1}`` ``(N, 1)``; otherwise it is derived from
         ``adjacency``, whose gradient then flows through it too.
         """
+        return self._step(x, hidden, adjacency, _step_graph(adjacency, index_set, degree_scale),
+                          degree_scale)
+
+    def _step(self, x: Tensor, hidden: Tensor, adjacency: Tensor, graph: _Graph,
+              degree_scale: Tensor | None) -> tuple[Tensor, Tensor]:
+        """:meth:`forward` over a prebuilt :func:`_step_graph` (one per encoder–decoder forward)."""
         if x.ndim != 3 or x.shape[-1] != self.input_dim:
             raise ValueError(f"expected x of shape (batch, nodes, {self.input_dim}), "
                              f"got {x.shape}")
-        new_hidden = _cell_step_op(self, x, hidden, adjacency, as_index_array(index_set),
-                                   degree_scale)
+        new_hidden = _cell_step_op(self, x, hidden, adjacency, graph, degree_scale)
         return new_hidden, new_hidden.matmul(self.projection)

@@ -26,6 +26,7 @@ from repro.nn.loss import masked_mae, masked_pinball
 from repro.nn.module import Module
 from repro.optim import Optimizer, clip_grad_norm
 from repro.tensor import Tensor, no_grad
+from repro.utils.heap import keep_freed_heap
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
 
@@ -118,28 +119,36 @@ class Trainer:
     def train_epoch(self, loader: DataLoader) -> float:
         """Run one epoch; returns the average training loss (masked MAE)."""
         self.model.train()
-        dtype = self._batch_dtype()
+        keep_freed_heap()
         losses = []
-        for batch_x, batch_y in loader:
-            if hasattr(self.model, "refresh_graph"):
-                self.model.refresh_graph(self._iteration)
-            self.model.zero_grad()
-            predictions = self._denormalise(self.model(Tensor(batch_x, dtype=dtype)))
-            targets = Tensor(batch_y, dtype=dtype)
-            if self.quantiles is not None:
-                loss = masked_pinball(
-                    predictions, targets, self.quantiles, null_value=self.null_value
-                )
-            else:
-                loss = masked_mae(predictions, targets, null_value=self.null_value)
-            loss.backward()
-            clip_grad_norm(self.model.parameters(), self.max_grad_norm)
-            self.optimizer.step()
-            losses.append(float(loss.data))
+        for batch in loader:
+            losses.append(self._train_step(batch))
             self._iteration += 1
             if self.log_every and self._iteration % self.log_every == 0:
                 self.logger.info("iteration %d loss %.4f", self._iteration, losses[-1])
         return float(np.mean(losses)) if losses else float("nan")
+
+    def _train_step(self, batch) -> float:
+        """One optimiser step on ``(batch_x, batch_y)``; returns its loss.
+
+        The step's autograd graph dies with this frame, before the next
+        step builds its own.
+        """
+        batch_x, batch_y = batch
+        dtype = self._batch_dtype()
+        if hasattr(self.model, "refresh_graph"):
+            self.model.refresh_graph(self._iteration)
+        self.model.zero_grad()
+        predictions = self._denormalise(self.model(Tensor(batch_x, dtype=dtype)))
+        targets = Tensor(batch_y, dtype=dtype)
+        if self.quantiles is not None:
+            loss = masked_pinball(predictions, targets, self.quantiles, null_value=self.null_value)
+        else:
+            loss = masked_mae(predictions, targets, null_value=self.null_value)
+        loss.backward()
+        clip_grad_norm(self.model.parameters(), self.max_grad_norm)
+        self.optimizer.step()
+        return float(loss.data)
 
     def evaluate(self, loader: DataLoader) -> dict[str, float]:
         """Compute masked MAE / RMSE / MAPE over every batch of ``loader``.

@@ -11,6 +11,7 @@ from repro.nn.loss import masked_mae
 from repro.nn.module import Module
 from repro.optim import Adam, clip_grad_norm
 from repro.tensor import Tensor, no_grad
+from repro.utils.heap import keep_freed_heap
 from repro.utils.timer import Timer
 
 
@@ -22,6 +23,17 @@ class CostReport:
     num_parameters: int
     train_seconds_per_epoch: float
     inference_seconds: float
+
+
+def _train_step(model: Module, optimizer: Adam, iteration: int, batch_x, batch_y) -> None:
+    """One timed training step; its autograd graph dies on return."""
+    if hasattr(model, "refresh_graph"):
+        model.refresh_graph(iteration)
+    model.zero_grad()
+    loss = masked_mae(model(Tensor(batch_x)), Tensor(batch_y), null_value=None)
+    loss.backward()
+    clip_grad_norm(model.parameters(), 5.0)
+    optimizer.step()
 
 
 def measure_cost(
@@ -43,18 +55,12 @@ def measure_cost(
     train_timer = Timer()
     measured_batches = 0
     model.train()
+    keep_freed_heap()
     for batch_index, (batch_x, batch_y) in enumerate(loader):
         if max_batches is not None and batch_index >= max_batches:
             break
         with train_timer:
-            if hasattr(model, "refresh_graph"):
-                model.refresh_graph(batch_index)
-            model.zero_grad()
-            predictions = model(Tensor(batch_x))
-            loss = masked_mae(predictions, Tensor(batch_y), null_value=None)
-            loss.backward()
-            clip_grad_norm(model.parameters(), 5.0)
-            optimizer.step()
+            _train_step(model, optimizer, batch_index, batch_x, batch_y)
         measured_batches += 1
     per_batch = train_timer.total / max(measured_batches, 1)
     train_seconds_per_epoch = per_batch * len(loader)

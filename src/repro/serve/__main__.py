@@ -35,8 +35,28 @@ from repro.serve.service import ForecastService
 from repro.utils.checkpoint import load_bundle
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are one line, ``prog: error: …`` (exit 2), without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _bounded(kind, low, strict: bool = False):
+    """An argparse ``type``: ``kind(text)``, refused unless ``>= low`` (``> low`` if strict)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # NaN is refused too
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro.serve",
         description="Serve forecast requests from a SAGDFN checkpoint bundle.",
     )
@@ -65,10 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "(the whole queue, shared by every worker); beyond "
                              "it new requests are rejected with a typed "
                              "Overloaded error instead of queueing")
-    parser.add_argument("--chunk-size", type=int, default=None,
+    # The library's rules, checked at parse time: a bad value must not get
+    # as far as a bundle read or a worker spawn.
+    parser.add_argument("--chunk-size", type=_bounded(int, 1), default=None,
                         help="large-N memory knob: node-block size of the SNS ranking "
                              "and attention scoring at graph-freeze time")
-    parser.add_argument("--memory-budget-mb", type=float, default=None,
+    parser.add_argument("--memory-budget-mb", type=_bounded(float, 0, strict=True),
+                        default=None,
                         help="large-N memory knob: derive the node blocks from this "
                              "scratch budget (MiB) instead of --chunk-size")
     parser.add_argument("--seed", type=int, default=0,
@@ -92,14 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of client sessions the stream is replayed into")
     online.add_argument("--forecast-every", type=int, default=4,
                         help="forecast from each filled session every this many steps")
-    online.add_argument("--drift-threshold", type=float, default=None,
+    online.add_argument("--drift-threshold", type=_bounded(float, 0), default=None,
                         help="swap when the re-sampled index-set overlap drops below "
                              "this; overrides the bundle's recorded drift config "
                              "(no monitoring when neither is present)")
-    online.add_argument("--drift-check-every", type=int, default=None,
+    online.add_argument("--drift-check-every", type=_bounded(int, 1), default=None,
                         help="timesteps between drift checks (default: bundle drift "
                              "config, else 32)")
-    online.add_argument("--drift-min-history", type=int, default=None,
+    online.add_argument("--drift-min-history", type=_bounded(int, 1), default=None,
                         help="pooled timesteps required before the first drift check")
     online.add_argument("--update-scaler", action="store_true",
                         help="partial_fit the bundle scaler from the live feed")

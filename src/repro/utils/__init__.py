@@ -1,4 +1,4 @@
-"""Small shared helpers: seeding, timing, logging, checkpointing."""
+"""Small shared helpers: seeding, timing, logging, checkpointing, malloc thresholds."""
 
 from repro.utils.seed import seed_everything, spawn_rng
 from repro.utils.timer import Timer

@@ -290,6 +290,87 @@ class TestRecurrenceOracle:
         slices = 4 + 1  # history[:, t] and the decoder's first input
         assert len(nodes) == steps + forecaster.horizon + slices + 1
 
+    @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_cell_op_keeps_only_the_gates(self, rng, dense, diffusion_steps):
+        """Beyond its parents' data, the backward closure holds one
+        ``(·, B, N)`` array: the ``(3H, B, N)`` gates."""
+        cell = OneStepFastGConvCell(input_dim=2, hidden_dim=3,
+                                    diffusion_steps=diffusion_steps, seed=5)
+        adjacency, index_set = _cell_graph(rng, 9, dense)
+        x = Tensor(rng.normal(size=(2, 9, 2)), requires_grad=True)
+        hidden = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
+        node, _ = cell(x, hidden, Tensor(adjacency, requires_grad=True), index_set)
+        parents = node._parents
+        arrays, seen, pending = [], set(), [node._backward]
+        while pending:
+            item = pending.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, Tensor):
+                assert any(item is parent for parent in parents)
+            elif isinstance(item, np.ndarray):
+                if not any(np.shares_memory(item, parent.data) for parent in parents):
+                    arrays.append(item)
+            elif callable(item) and hasattr(item, "__closure__"):
+                pending.extend(c.cell_contents for c in item.__closure__ or ())
+            elif isinstance(item, (list, tuple)):
+                pending.extend(item)
+            elif hasattr(item, "__slots__"):
+                pending.extend(getattr(item, name) for name in item.__slots__)
+        step_shaped = [a.shape for a in arrays if a.ndim == 3 and a.shape[1:] == (2, 9)]
+        assert step_shaped == [(9, 2, 9)]
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_forward_builds_one_graph(self, rng, monkeypatch, num_layers):
+        """One ``Aᵀ`` copy and degree scale per encoder–decoder forward."""
+        from repro.core import gconv
+
+        built = []
+        init = gconv._Graph.__init__
+        monkeypatch.setattr(gconv._Graph, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        model = _model(num_layers=num_layers)
+        model.forecaster(Tensor(rng.normal(size=(2, 4, 22, 2))),
+                         Tensor(model.slim_adjacency().data), model.index_set)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("diffusion_steps", [1, 2, 3])
+    @pytest.mark.parametrize("dense", [False, True], ids=["slim", "dense"])
+    def test_forecaster_gradients_match_finite_differences(self, rng, dense,
+                                                           diffusion_steps):
+        """Two layers under teacher forcing: history, targets, the adjacency
+        and an upper-layer weight against central differences, and a second
+        backward through the same graph gives the same gradients again."""
+        forecaster = SAGDFNEncoderDecoder(input_dim=2, hidden_dim=3, horizon=2,
+                                          diffusion_steps=diffusion_steps, num_layers=2,
+                                          teacher_forcing=1.0, seed=3)
+        forecaster.train()
+        adjacency, index_set = _cell_graph(rng, 8, dense)
+        history = Tensor(rng.normal(size=(2, 3, 8, 2)), requires_grad=True)
+        targets = Tensor(rng.normal(size=(2, 2, 8, 1)), requires_grad=True)
+        adjacency = Tensor(adjacency, requires_grad=True)
+        weight = forecaster.encoder_cells[1].candidate.hop_weights[-1]
+        mix = Tensor(rng.normal(size=(2, 2, 8, 1)))
+
+        def forecast(history, targets, adjacency, _):
+            return forecaster(history, adjacency, index_set, targets=targets) * mix
+
+        inputs = [history, targets, adjacency, weight]
+        assert check_gradients(forecast, inputs)
+
+        for tensor in inputs:
+            tensor.zero_grad()
+        loss = forecast(*inputs).sum()
+        loss.backward()
+        first = [tensor.grad.copy() for tensor in inputs]
+        for tensor in inputs:
+            tensor.zero_grad()
+        loss.backward()
+        for tensor, grad in zip(inputs, first):
+            assert np.array_equal(tensor.grad, grad)
+
     def test_wrong_input_width_raises(self, rng):
         cell = OneStepFastGConvCell(input_dim=2, hidden_dim=5, seed=1)
         adjacency, index_set = _cell_graph(rng, 9, dense=False)

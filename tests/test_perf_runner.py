@@ -355,7 +355,7 @@ class TestClusterSection:
 
 
 class TestOnlineSection:
-    def test_online_section_present_and_sane(self, tiny_report):
+    def test_online_section_present_and_sane(self, tiny_report, run_perf):
         report, _ = tiny_report
         online = report["online"]
         assert online["num_nodes"] == 24
@@ -367,6 +367,8 @@ class TestOnlineSection:
         assert online["swap_latency_ms"] > 0
         assert online["forecast_during_swap_p95_ms"] > 0
         assert online["forecast_during_swap_requests"] >= 20
+        # a fixed swap count per timed forecast keeps the p95 comparable
+        assert online["swaps_during_forecast"] == run_perf.SWAPS_PER_FORECAST
         # the two hard invariants of the hot-swap design
         assert online["forecast_during_swap_errors"] == 0
         assert online["swap_parity"] is True

@@ -526,6 +526,42 @@ class TestServeCLI:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --no-freeze" in capsys.readouterr().err
 
+    # The library's rules (chunk >= 1, budget > 0, threshold >= 0, the
+    # other two >= 1), checked at parse time on every path.
+    @pytest.mark.parametrize("flag, value", [
+        ("--chunk-size", "0"),
+        ("--memory-budget-mb", "0"),
+        ("--memory-budget-mb", "nan"),
+        ("--drift-threshold", "-0.5"),
+        ("--drift-check-every", "0"),
+        ("--drift-min-history", "-3"),
+    ])
+    @pytest.mark.parametrize("mode", [
+        [], ["--workers", "2"], ["--online"], ["--online", "--workers", "2"],
+    ], ids=["single", "cluster", "online", "online-cluster"])
+    def test_bad_knob_is_a_one_line_usage_error(self, trained, monkeypatch, capsys,
+                                                mode, flag, value):
+        import repro.serve.__main__ as main_module
+        import repro.serve.cluster as cluster_module
+        import repro.serve.online as online_module
+        import repro.serve.service as service_module
+
+        _, _, _, bundle_path = trained
+        touched = []
+        for module in (service_module, cluster_module, online_module, main_module):
+            monkeypatch.setattr(module, "load_bundle",
+                                lambda *args, **kwargs: touched.append("load"))
+        monkeypatch.setattr(cluster_module._WorkerChannel, "_spawn",
+                            lambda *args, **kwargs: touched.append("spawn"))
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main([str(bundle_path), *mode, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"error: argument {flag}: must be " in err
+        assert "Traceback" not in err
+        assert touched == []
+
     def test_synthetic_zero_requests_is_still_rejected(self, trained):
         _, _, _, bundle_path = trained
         with pytest.raises(SystemExit, match="--requests"):
